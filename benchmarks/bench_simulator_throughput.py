@@ -5,8 +5,8 @@ regressions in the hot loops (OrderedDict LRU, interval group-bys) are
 visible across commits.
 
 ``test_kernel_replay_speedup`` is the acceptance benchmark for the
-vectorized kernel layer (:mod:`repro.machines.kernels`): on the
-Barnes-Hut n=8192, P=16 trace the batch engine must replay the decoded
+compiled kernel layer (:mod:`repro.machines.kernels`): on the
+Barnes-Hut n=8192, P=16 trace the kernel engine must replay the decoded
 access streams at >= 5x the throughput of the reference loop engine,
 with identical miss/invalidation counts.  Its numbers are persisted to
 ``benchmarks/results/bench_simulator_kernels.txt`` via the ``emit``
@@ -87,7 +87,7 @@ def _decode_streams(trace, params, layout):
 
     This is the shared front end both engines pay inside
     ``simulate_hardware``; pre-extracting it isolates the cache *replay*
-    cost, which is what the kernel layer vectorizes.
+    cost, which is what the kernel layer compiles.
     """
     shift = params.line_size.bit_length() - 1
     nlines = (layout.total_bytes >> shift) + 1
@@ -137,7 +137,7 @@ def _replay(streams, params, nprocs, engine):
 
 @pytest.mark.slow
 def test_kernel_replay_speedup(emit):
-    """Acceptance: batch kernels replay the BH trace >= 5x faster than the loop.
+    """Acceptance: the kernels replay the BH trace >= 5x faster than the loop.
 
     The trace is decoded once; both engines then replay the identical
     line/page streams (including barrier invalidations).  Counts must

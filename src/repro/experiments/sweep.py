@@ -42,7 +42,14 @@ from ..runtime.cache import atomic_write_text
 from ..runtime.context import get_runtime
 from ..runtime.executor import Task, run_tasks
 from ..runtime.worker import generate_trace_into_cache
-from .runner import Scale, _cache_key_for, _trace_for, make_app, versions_for
+from .runner import (
+    Scale,
+    _cache_key_for,
+    _trace_compression,
+    _trace_for,
+    make_app,
+    versions_for,
+)
 
 __all__ = [
     "SweepGrid",
@@ -312,7 +319,7 @@ def _group_rows(trace, group: SweepGroup, scale: Scale) -> list[dict]:
 
 
 def run_sweep_group(
-    cache_root: str, group: SweepGroup, scale: Scale
+    cache_root: str, group: SweepGroup, scale: Scale, compression: str = "none"
 ) -> tuple[list[dict], tuple[int, int]]:
     """Executor worker: run one (trace, geometry family) batch.
 
@@ -321,16 +328,18 @@ def run_sweep_group(
     or cache cleared underneath us — falls back to generating in place,
     so the task stays idempotent.  Returns small per-point row dicts,
     plus the worker-side cache (hits, misses) for the parent's counters.
+    ``compression`` is the run's trace codec: it picks the cache entry
+    (v2 or v3) exactly as :func:`repro.experiments.runner.run_one` does.
     """
     from ..runtime.cache import TraceCache
 
     cache = TraceCache(cache_root)
-    ck = _cache_key_for(group.app, group.version, scale, scale.nprocs)
+    ck = _cache_key_for(group.app, group.version, scale, scale.nprocs, compression)
     trace = cache.load(ck)
     if trace is None:
         app = make_app(group.app, scale.config(group.app), group.version)
         trace = app.run()
-        cache.store(ck, trace)
+        cache.store(ck, trace, compression=compression)
     return _group_rows(trace, group, scale), (cache.hits, cache.misses)
 
 
@@ -396,7 +405,8 @@ class SweepPlan:
                 Task(
                     key=g.key(self.scale),
                     fn=run_sweep_group,
-                    args=(str(rt.cache.root), g, self.scale),
+                    args=(str(rt.cache.root), g, self.scale,
+                          _trace_compression(rt)),
                 )
                 for g in todo
             ]
@@ -416,8 +426,11 @@ class SweepPlan:
     def _prefetch(self, groups: list[SweepGroup], rt) -> None:
         """Fan distinct traces out before dispatching sweep batches."""
         tasks, seen = [], set()
+        compression = _trace_compression(rt)
         for g in groups:
-            ck = _cache_key_for(g.app, g.version, self.scale, self.scale.nprocs)
+            ck = _cache_key_for(
+                g.app, g.version, self.scale, self.scale.nprocs, compression
+            )
             fn = ck.filename()
             if fn in seen or (rt.resume and rt.cache.contains(ck)):
                 continue
@@ -427,7 +440,7 @@ class SweepPlan:
                 fn=generate_trace_into_cache,
                 args=(str(rt.cache.root), g.app, g.version,
                       self.scale.n[g.app], self.scale.iterations[g.app],
-                      self.scale.nprocs, self.scale.seed),
+                      self.scale.nprocs, self.scale.seed, compression),
             ))
         if tasks:
             log.info("sweep prefetch: generating %d trace(s)", len(tasks))

@@ -15,9 +15,7 @@ from .kernels import (
     StreamResult,
     lru_kernel,
     miss_curve,
-    reuse_distances,
     setassoc_kernel,
-    stack_distance_histogram,
 )
 from .dsm import (
     DSMResult,
@@ -44,8 +42,6 @@ __all__ = [
     "StreamResult",
     "lru_kernel",
     "setassoc_kernel",
-    "reuse_distances",
-    "stack_distance_histogram",
     "miss_curve",
     "SetAssocSweep",
     "simulate_hardware_sweep",

@@ -7,30 +7,31 @@ intervened since the last reference, and the set-associative variant
 partitions keys by index bits first — the behaviour the paper's L2/TLB miss
 counts depend on.
 
-Two replay engines produce identical counts (asserted by property tests in
-``tests/machines/test_kernels.py``):
+Two replay engines produce identical counts and identical end state
+(asserted by property tests in ``tests/machines/test_kernels.py``):
 
-* ``"loop"`` — the reference implementation: an ``OrderedDict`` per set,
-  ``move_to_end`` for O(1) LRU maintenance, one Python iteration per
-  access.  Authoritative but interpreter-bound.
-* ``"kernel"`` — the batch reuse-distance kernels in
-  :mod:`repro.machines.kernels`; state is carried as a numpy resident
-  array between calls, so paper-size replays never enter a per-access
-  Python loop.
+* ``"loop"`` — the oracle: an ``OrderedDict`` per set, ``move_to_end``
+  for O(1) LRU maintenance, one Python iteration per access.  It shares
+  no code with the compiled kernel.
+* ``"kernel"`` — the compiled per-set LRU of :mod:`repro.machines.native`
+  (through :func:`repro.machines.kernels.setassoc_kernel`); state is
+  carried as a numpy resident array between calls.
 
 ``access_stream(..., engine="auto")`` (the default, via
-:data:`DEFAULT_ENGINE`) picks the kernel for long streams — or whenever
-the state already lives in array form, so a hot simulation loop mixing
-streams with :meth:`invalidate_present` never bounces through dicts.
-Point operations (``access``, ``__contains__``, the reference
-``invalidate``) materialize the dict form on demand; the two forms are
-interconverted lazily and exactly.
+:data:`DEFAULT_ENGINE`) uses the kernel for every stream, whatever its
+length, whenever the compiled library is available, and the loop
+otherwise — the counts are the same either way.  An explicit
+``engine="kernel"`` with no working C compiler raises
+:class:`repro.errors.ConfigError`.  Point operations (``access``,
+``__contains__``, the reference ``invalidate``) materialize the dict form
+on demand; the two forms are interconverted lazily and exactly.
 
-Consecutive duplicate references are collapsed with numpy before either
-engine runs — a re-reference to the line just touched can never miss, and
-object-granularity traces produce long such runs.  ``accesses`` counts the
-*pre-collapse* stream length, matching what per-access ``access`` calls
-would have counted.
+The loop engine collapses consecutive duplicate references with numpy
+first — a re-reference to the line just touched can never miss, and
+object-granularity traces produce long such runs; the kernel finds such a
+key in its set's first way.  ``accesses`` counts the *pre-collapse*
+stream length, matching what per-access ``access`` calls would have
+counted.
 """
 
 from __future__ import annotations
@@ -39,25 +40,20 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .kernels import lru_kernel, setassoc_kernel
+from . import native
+from .kernels import setassoc_kernel
 
 __all__ = [
     "collapse_runs",
     "LRUCache",
     "SetAssocCache",
     "DEFAULT_ENGINE",
-    "KERNEL_THRESHOLD",
 ]
 
 #: Engine used when ``access_stream`` is called with ``engine=None``:
 #: ``"auto"``, ``"loop"``, or ``"kernel"``.  Module-level so benchmarks and
 #: experiments can force one path globally.
 DEFAULT_ENGINE = "auto"
-
-#: Minimum (collapsed) stream length for which ``"auto"`` picks the
-#: vectorized kernel when the state is in dict form; below it the per-key
-#: loop's lower constant wins.
-KERNEL_THRESHOLD = 512
 
 
 def collapse_runs(keys: np.ndarray) -> np.ndarray:
@@ -73,156 +69,16 @@ def collapse_runs(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _resolve_engine(engine: str | None, nkeys: int, state_is_array: bool) -> str:
+def _use_kernel(engine: str | None) -> bool:
     eng = DEFAULT_ENGINE if engine is None else engine
     if eng == "auto":
-        if state_is_array or nkeys >= KERNEL_THRESHOLD:
-            return "kernel"
-        return "loop"
-    if eng not in ("loop", "kernel"):
+        return native.available()
+    if eng == "kernel":
+        native.require()
+        return True
+    if eng != "loop":
         raise ValueError(f"unknown engine {eng!r}; expected auto, loop or kernel")
-    return eng
-
-
-class LRUCache:
-    """Fully-associative LRU cache of ``capacity`` entries.
-
-    Suitable for TLBs (which are fully associative on the R12000) and as a
-    capacity-only approximation of large caches.
-    """
-
-    __slots__ = ("capacity", "_entries", "_arr", "misses", "accesses", "evictions")
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        # Exactly one of the two state forms is authoritative at any time.
-        self._entries: OrderedDict[int, None] | None = OrderedDict()
-        self._arr: np.ndarray | None = None
-        self.misses = 0
-        self.accesses = 0
-        self.evictions = 0
-
-    # -- state form conversion (lazy, exact) ------------------------------
-
-    def _dict(self) -> OrderedDict[int, None]:
-        if self._entries is None:
-            self._entries = OrderedDict.fromkeys(self._arr.tolist())
-            self._arr = None
-        return self._entries
-
-    def _array(self) -> np.ndarray:
-        if self._arr is None:
-            self._arr = np.fromiter(
-                self._entries.keys(), dtype=np.int64, count=len(self._entries)
-            )
-            self._entries = None
-        return self._arr
-
-    def __contains__(self, key: int) -> bool:
-        if self._arr is not None:
-            return bool(np.any(self._arr == key))
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return int(self._arr.shape[0]) if self._arr is not None else len(self._entries)
-
-    def access(self, key: int) -> bool:
-        """Touch one key; returns True on hit."""
-        entries = self._dict()
-        self.accesses += 1
-        if key in entries:
-            entries.move_to_end(key)
-            return True
-        self.misses += 1
-        entries[key] = None
-        if len(entries) > self.capacity:
-            entries.popitem(last=False)
-            self.evictions += 1
-        return False
-
-    def access_stream(
-        self, keys: np.ndarray, *, collapse: bool = True, engine: str | None = None
-    ) -> int:
-        """Replay a reference stream; returns the number of misses added.
-
-        ``engine`` selects the replay path (``"loop"``, ``"kernel"``, or
-        ``"auto"``); ``None`` defers to :data:`DEFAULT_ENGINE`.  Both
-        engines produce identical counts and identical end state.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        n_raw = int(keys.shape[0])
-        if collapse:
-            keys = collapse_runs(keys)
-        self.accesses += n_raw
-        if keys.shape[0] == 0:
-            return 0
-        if _resolve_engine(engine, keys.shape[0], self._arr is not None) == "kernel":
-            res = lru_kernel(keys, self.capacity, self._array())
-            self._arr = res.resident
-            self.misses += res.misses
-            self.evictions += res.evictions
-            return res.misses
-        entries = self._dict()
-        cap = self.capacity
-        misses = 0
-        evict = 0
-        move = entries.move_to_end
-        pop = entries.popitem
-        for key in keys.tolist():
-            if key in entries:
-                move(key)
-            else:
-                misses += 1
-                entries[key] = None
-                if len(entries) > cap:
-                    pop(last=False)
-                    evict += 1
-        self.misses += misses
-        self.evictions += evict
-        return misses
-
-    def invalidate(self, keys: np.ndarray) -> int:
-        """Remove keys (directory invalidation); returns how many were present."""
-        entries = self._dict()
-        present = 0
-        for key in np.asarray(keys, dtype=np.int64).tolist():
-            if key in entries:
-                del entries[key]
-                present += 1
-        return present
-
-    def invalidate_present(
-        self, keys: np.ndarray, *, assume_unique: bool = False
-    ) -> np.ndarray:
-        """Vectorized invalidation: remove ``keys``, return those removed.
-
-        Operates on the array state form (sorted-merge ``np.isin``), so a
-        simulation loop alternating streams and barrier invalidations
-        stays dict-free.  ``invalidate`` is the per-key reference path.
-        Pass ``assume_unique=True`` when ``keys`` has no duplicates to
-        skip the dedup pass.
-        """
-        arr = self._array()
-        targets = np.asarray(keys, dtype=np.int64)
-        if not assume_unique:
-            targets = np.unique(targets)
-        hit = np.isin(arr, targets, assume_unique=True)
-        if not hit.any():
-            return np.empty(0, dtype=np.int64)
-        self._arr = arr[~hit]
-        return arr[hit]
-
-    def flush(self) -> None:
-        self._entries = OrderedDict()
-        self._arr = None
-
-    def resident(self) -> np.ndarray:
-        """Currently cached keys, LRU first."""
-        if self._arr is not None:
-            return self._arr.copy()
-        return np.fromiter(self._entries.keys(), dtype=np.int64, count=len(self._entries))
+    return False
 
 
 class SetAssocCache:
@@ -307,21 +163,25 @@ class SetAssocCache:
     ) -> int:
         """Replay a reference stream; returns the number of misses added.
 
-        See :meth:`LRUCache.access_stream` for the ``engine`` contract.
+        ``engine`` selects the replay path (``"loop"``, ``"kernel"``, or
+        ``"auto"``); ``None`` defers to :data:`DEFAULT_ENGINE`.  Both
+        engines produce identical counts and identical end state.
         """
+        return self._replay(keys, collapse, engine)
+
+    def _replay(self, keys: np.ndarray, collapse: bool, engine: str | None) -> int:
         keys = np.asarray(keys, dtype=np.int64)
-        n_raw = int(keys.shape[0])
-        if collapse:
-            keys = collapse_runs(keys)
-        self.accesses += n_raw
+        self.accesses += int(keys.shape[0])
         if keys.shape[0] == 0:
             return 0
-        if _resolve_engine(engine, keys.shape[0], self._arr is not None) == "kernel":
+        if _use_kernel(engine):
             res = setassoc_kernel(keys, self.nsets, self.assoc, self._array())
             self._arr = res.resident
             self.misses += res.misses
             self.evictions += res.evictions
             return res.misses
+        if collapse:
+            keys = collapse_runs(keys)
         sets = self._dicts()
         mask = self.nsets - 1
         assoc = self.assoc
@@ -384,3 +244,28 @@ class SetAssocCache:
         return np.fromiter(
             (k for s in self._sets for k in s), dtype=np.int64, count=total
         )
+
+
+class LRUCache(SetAssocCache):
+    """Fully-associative LRU cache of ``capacity`` entries: a single set.
+
+    Suitable for TLBs (which are fully associative on the R12000) and as a
+    capacity-only approximation of large caches.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, capacity: int):
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        super().__init__(1, capacity)
+
+    def access_stream(
+        self, keys: np.ndarray, *, collapse: bool = True, engine: str | None = None
+    ) -> int:
+        """Replay a reference stream; see :meth:`SetAssocCache.access_stream`.
+
+        Its own method, not an inherited one, so that per-class
+        instrumentation tells TLB replays from L2 replays.
+        """
+        return self._replay(keys, collapse, engine)

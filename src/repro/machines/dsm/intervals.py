@@ -368,9 +368,18 @@ def build_interval_ladder(
         return {s: build_intervals(trace, layout, s)[0] for s in sizes}, layout
 
     memo = decode_memo(trace)
+    keys = {s: ("intervals", DecodeMemo.geometry_key(layout, s)) for s in sizes}
+    # A repeat call (the other protocol's sweep of the same trace) would
+    # otherwise decode the finest size again, since that decode is not kept.
+    if all(memo.has_derived(k) for k in keys.values()):
+        return {s: memo.derived(k, None) for s, k in keys.items()}, layout
     finest = sizes[0]
+    # The finest-size decode is read once, here; storing it would hold every
+    # epoch's streams at the finest (largest) geometry for nothing.
     levels = [
-        _epoch_ladder_packed(epoch, memo.epoch(layout, finest, ei), layout, finest)
+        _epoch_ladder_packed(
+            epoch, memo.epoch(layout, finest, ei, store=False), layout, finest
+        )
         for ei, epoch in enumerate(trace.epochs)
     ]
     out: dict[int, list[EpochPageInfo]] = {}
@@ -394,8 +403,7 @@ def build_interval_ladder(
                     for epoch, (acc, wr, ub, _cx) in zip(trace.epochs, levels)
                 ]
 
-            key = ("intervals", DecodeMemo.geometry_key(layout, size))
-            out[size] = memo.derived(key, _materialize)
+            out[size] = memo.derived(keys[size], _materialize)
         if size >= sizes[-1]:
             break
         levels = [_fold_ladder(*lvl) for lvl in levels]

@@ -1,54 +1,25 @@
-"""Vectorized batch replay kernels for the exact LRU cache models.
+"""Batch replay kernels for the exact LRU cache models.
 
 The reference simulators in :mod:`repro.machines.cache` walk the access
 stream one key at a time through an ``OrderedDict`` — exact, but
 interpreter-bound at a few million accesses per second, which puts the
 paper-size replays (65536 bodies, 16 processors, tens of epochs) out of
-reach.  This module computes the *same counts* with numpy batch
-algorithms, so the per-access work happens in C.
-
-The core identity is the classic reuse-distance (stack-distance)
-characterization of fully-associative LRU:
-
-    an access to key ``k`` hits iff fewer than ``capacity`` *distinct*
-    keys were referenced since the previous access to ``k``.
-
-Let ``prev[i]`` be the index of the previous occurrence of ``keys[i]``
-(``-1`` for a first occurrence).  The number of distinct keys referenced
-strictly between ``prev[i]`` and ``i`` equals the number of positions
-``t`` with ``prev[i] < t < i`` whose own previous occurrence lies at or
-before ``prev[i]`` (``prev[t] <= prev[i]``) — i.e. the first occurrence
-*within the window* of each distinct intervening key.  Because
-``prev[t] < t`` always, that count telescopes to::
-
-    dist[i] = #{t < i : prev[t] <= prev[i]}  -  (prev[i] + 1)
-
-The left term — "how many earlier positions have a previous-occurrence
-index at most mine" — is an offline 2-D dominance count.  We compute it
-without a Fenwick tree via a bottom-up blocked merge count: at block
-width ``w`` every pair of adjacent length-``w`` slices contributes, for
-each right-slice element, the number of left-slice elements ``<=`` it;
-every ordered pair of positions is counted at exactly one level.  Each
-level is a single ``np.sort`` + ``np.searchsorted`` over all blocks at
-once (blocks are lifted into disjoint value ranges so one global
-``searchsorted`` serves them all), giving O(n log^2 n) work entirely in
-vectorized numpy.
-
-Set-associativity comes for free: grouping the stream by set index with
-a *stable* argsort makes each set's substream contiguous and in program
-order, and since a key only ever maps to one set, every reuse window
-``(prev[i], i)`` lies inside a single set's segment.  One dominance
-count over the grouped stream therefore yields per-set reuse distances,
-and the miss rule is ``dist >= assoc`` uniformly.
+reach.  This module computes the *same counts* in compiled code
+(:mod:`repro.machines.native`): each set is an MRU-first array of ways,
+an access scans it and shifts the keys above its slot down one place.
+The cost is O(assoc) per access whatever the stream's shape.
 
 Cache state across calls is carried as the *resident array*: the cached
-keys grouped by set, LRU-first within each set.  LRU obeys inclusion —
-a set's content is always its ``assoc`` most recently used distinct
-keys — so replaying the resident keys as an uncharged prefix of the
-stream reconstructs the exact state, and the post-replay state is read
-off the last-occurrence indices.  Equality with the reference loop
-(including interleaved invalidations) is asserted access-for-access in
-``tests/machines/test_kernels.py``.
+keys grouped by ascending set, LRU-first within each set.  Equality with
+the ``"loop"`` reference (including interleaved invalidations) is
+asserted access-for-access in ``tests/machines/test_kernels.py``.
+
+:class:`SetAssocSweep` answers every associativity of one set count from
+a single replay (Mattson's stack algorithm).  It too runs compiled, and
+falls back to a per-key Python stack when no C compiler is available;
+:func:`setassoc_kernel` and :func:`lru_kernel` raise
+:class:`repro.errors.ConfigError` instead, and the cache classes then
+use their ``"loop"`` engine.
 """
 
 from __future__ import annotations
@@ -57,18 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
+
 __all__ = [
     "StreamResult",
-    "count_left_le",
-    "reuse_distances",
     "lru_kernel",
     "setassoc_kernel",
-    "stack_distance_histogram",
     "miss_curve",
     "SetAssocSweep",
 ]
-
-_COLD = np.iinfo(np.int64).max  # reuse distance of a first-ever occurrence
 
 
 @dataclass(frozen=True)
@@ -78,8 +46,8 @@ class StreamResult:
     Attributes
     ----------
     misses:
-        Misses charged to the stream (the uncharged resident prefix is
-        excluded).
+        Misses charged to the stream (the resident content is not
+        charged).
     evictions:
         Entries pushed out by capacity during the replay.
     resident:
@@ -93,351 +61,24 @@ class StreamResult:
     resident: np.ndarray
 
 
-def count_left_le(vals: np.ndarray) -> np.ndarray:
-    """For each ``i``, count positions ``t < i`` with ``vals[t] <= vals[i]``.
-
-    Offline dominance counting by bottom-up blocked merge: O(n log^2 n),
-    all levels fully vectorized (one sort + one searchsorted per level).
-    """
-    vals = np.asarray(vals, dtype=np.int64)
-    n = vals.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
-    if n <= 1:
-        return counts
-    # Shift values to [0, span-2]; span-1 is the padding sentinel, so
-    # lifting block b by b*span keeps blocks in disjoint sorted ranges.
-    v = vals - int(vals.min())
-    span = int(v.max()) + 2
-    m = 1 << (n - 1).bit_length()
-    if m > n:
-        v = np.concatenate([v, np.full(m - n, span - 1, dtype=np.int64)])
-    positions = np.arange(m)
-    width = 1
-    while width < m:
-        pairs = m // (2 * width)
-        blocks = v.reshape(pairs, 2 * width)
-        lift = np.arange(pairs, dtype=np.int64)[:, None] * span
-        left = np.sort(blocks[:, :width], axis=1) + lift
-        right = blocks[:, width:] + lift
-        hits = np.searchsorted(left.ravel(), right.ravel(), side="right")
-        hits -= np.repeat(np.arange(pairs, dtype=np.int64), width) * width
-        pos = positions.reshape(pairs, 2 * width)[:, width:].ravel()
-        real = pos < n
-        counts[pos[real]] += hits[real]
-        width *= 2
-    return counts
-
-
-def _count_left_le_at(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """:func:`count_left_le` evaluated only at query positions ``idx``.
-
-    ``idx`` must be sorted ascending.  Offline block decomposition:
-    ``vals`` is cut into fixed-size blocks, each sorted once; query ``i``
-    sums a vectorized ``searchsorted`` count over every full block left
-    of ``i`` plus a direct scan of its own partial block.  Costs
-    O(n log s + nb*m + m*s) for ``m`` queries against the full pass's
-    O(n log^2 n) — the win when ``m << n``.
-    """
-    n = vals.shape[0]
-    m = idx.shape[0]
-    out = np.zeros(m, dtype=np.int64)
-    if m == 0:
-        return out
-    thr = vals[idx]
-    s = 2048
-    nb = int(idx[-1]) // s
-    if nb:
-        blocks = np.sort(vals[: nb * s].reshape(nb, s), axis=1)
-        # idx ascending => queries needing block b (those with i >= (b+1)*s)
-        # form a suffix; starts[b] is where that suffix begins.
-        starts = np.searchsorted(idx // s, np.arange(nb), side="right")
-        for b in range(nb):
-            lo = starts[b]
-            if lo < m:
-                out[lo:] += np.searchsorted(blocks[b], thr[lo:], side="right")
-    base = (idx // s) * s
-    for q in range(m):
-        i = int(idx[q])
-        lo = int(base[q])
-        if i > lo:
-            out[q] += int(np.count_nonzero(vals[lo:i] <= thr[q]))
-    return out
-
-
-def _narrow(keys: np.ndarray) -> np.ndarray:
-    """Narrow non-negative keys to the smallest dtype for radix argsort.
-
-    numpy's stable argsort is a byte-wise radix sort; int64 line/page ids
-    that fit in 16 bits sort ~7x faster as uint16.  Keys with negative
-    values (never produced by the layouts, but allowed by the cache API)
-    are passed through unchanged.
-    """
-    if keys.shape[0] == 0 or keys.dtype.itemsize <= 1:
-        return keys
-    if keys.dtype.kind != "u" and int(keys.min()) < 0:
-        return keys
-    hi = int(keys.max())
-    for dt, limit in ((np.uint8, 1 << 8), (np.uint16, 1 << 16), (np.uint32, 1 << 32)):
-        if hi < limit:
-            return keys if keys.dtype == dt else keys.astype(dt)
-    return keys
-
-
-def _prev_occurrence(keys: np.ndarray) -> np.ndarray:
-    """Index of each key's previous occurrence in the stream (-1 if none)."""
-    n = keys.shape[0]
-    if n < 2:
-        return np.full(n, -1, dtype=np.int64)
-    k = _narrow(keys)
-    order = np.argsort(k, kind="stable")
-    # In sorted order each position's predecessor is the previous stream
-    # index of the same key, except at key-group starts (typically few) —
-    # shift, patch the group starts to -1, scatter back to stream order.
-    ko = k[order]
-    po = np.empty(n, dtype=np.int64)
-    po[0] = -1
-    po[1:] = order[:-1]
-    po[np.flatnonzero(ko[1:] != ko[:-1]) + 1] = -1
-    prev = np.empty(n, dtype=np.int64)
-    prev[order] = po
-    return prev
-
-
-def reuse_distances(keys: np.ndarray) -> np.ndarray:
-    """Distinct keys referenced strictly between consecutive occurrences.
-
-    First occurrences get ``np.iinfo(np.int64).max`` (an infinite
-    distance: always a miss at any finite capacity).
-    """
-    keys = np.asarray(keys)
-    prev = _prev_occurrence(keys)
-    dist = count_left_le(prev) - (prev + 1)
-    dist[prev < 0] = _COLD
-    return dist
-
-
-def _miss_mask(prev: np.ndarray, seg_end: np.ndarray, capacity: int) -> np.ndarray:
-    """Per-access miss flags for an LRU of ``capacity`` ways per segment.
-
-    ``prev`` is the previous-occurrence index of each position in the
-    set-grouped stream (each segment one set, program order inside);
-    ``seg_end[i]`` is the exclusive end of ``i``'s segment.
-
-    The miss test only needs ``dist >= capacity``, never the exact reuse
-    distance, so the hot path is a *windowed* count: a position ``t`` is
-    "live" at time ``i`` iff its key does not recur before ``i``
-    (``next[t] >= i``), and live positions inside the reuse window are
-    exactly the distinct intervening keys.  Scanning a lookback of ``W``
-    shifted comparisons therefore decides, in O(n·W) fully vectorized
-    work:
-
-    * ``gap <= W+1``   — the whole window is inside the lookback: the
-      live count *is* the reuse distance (exact hit/miss);
-    * ``live >= capacity`` — at least ``capacity`` distinct keys already
-      in the lookback suffix: a certain miss;
-
-    Undecided positions (long gap, low-diversity suffix) retry with a 4x
-    larger gathered lookback; if that budget blows up the exact
-    O(n log^2 n) dominance count (:func:`reuse_distances`) finishes the
-    job.  Segment boundaries are folded into the liveness horizon
-    (``next`` capped at ``seg_end - 1``), so no per-position segment
-    comparison is needed in the hot loop.
-    """
-    n = prev.shape[0]
-    miss = prev < 0  # cold
-    if capacity >= n:  # can never evict: only cold misses
-        return miss
-    iota = np.arange(n, dtype=np.int32)
-    gap = iota - prev.astype(np.int32)  # i - prev[i]; cold rows already decided
-    has_next = prev >= 0
-    # rem[t] = next-occurrence(t) - t, with the liveness horizon capped at
-    # t's segment end; "t live at i" (no recurrence before i) is then the
-    # scalar test rem[t] >= i - t.
-    rem = np.empty(n, dtype=np.int32)
-    rem[:] = seg_end - 1
-    rem[prev[has_next]] = iota[has_next]
-    rem -= iota
-
-    # acc[i] = live positions among the last W with offset inside the
-    # reuse window.  For gap <= W+1 the window fits the lookback, so acc
-    # is the exact reuse distance; for gap > W+1 every lookback offset is
-    # in-window, so acc is a lower bound and acc >= capacity proves a
-    # miss.  (One accumulator serves both cases.)  1.5x capacity of
-    # lookback decides all but a sliver of real streams in the first
-    # pass: an undecided row needs a long gap AND heavy repetition among
-    # the most recent accesses.
-    W = int(min(capacity + capacity // 2, 64, n - 1))
-    acc = np.zeros(n, dtype=np.uint8 if W <= 255 else np.int32)
-    buf = np.empty(n, dtype=bool)
-    win = np.empty(n, dtype=bool)
-    for k in range(1, W + 1):
-        a = np.greater_equal(rem[: n - k], k, out=buf[: n - k])
-        a &= np.greater(gap[k:], k, out=win[: n - k])
-        acc[k:] += a
-    near = (gap <= W + 1) & ~miss  # window inside lookback: acc is exact
-    miss |= acc >= capacity  # exact verdict for near rows, certain for far
-    undec = np.flatnonzero(~(near | miss))
-
-    while undec.size:
-        W = min(W * 4, n)
-        if undec.size * W > 64 * n + (1 << 22):
-            # Adversarial stream shape: finish with the exact global count.
-            dist = count_left_le(prev) - (prev + 1)
-            miss[undec] = dist[undec] >= capacity
-            break
-        g = gap[undec]
-        acc2 = np.zeros(undec.size, dtype=np.int32)
-        # Rows below W need the t >= 0 guard; undec is sorted, so they
-        # are a prefix and the (usually much larger) tail skips it.
-        lo = int(np.searchsorted(undec, W))
-        head, tail = undec[:lo], undec[lo:]
-        acc_h, acc_t = acc2[:lo], acc2[lo:]
-        g_h, g_t = g[:lo], g[lo:]
-        for k in range(1, W + 1):
-            if head.size:
-                t = head - k
-                acc_h += (t >= 0) & (rem[np.maximum(t, 0)] >= k) & (k < g_h)
-            a = rem[tail - k] >= k
-            a &= k < g_t
-            acc_t += a
-        near2 = g <= W + 1
-        sub_miss = acc2 >= capacity
-        sub_decided = near2 | sub_miss
-        miss[undec[sub_decided]] = sub_miss[sub_decided]
-        undec = undec[~sub_decided]
-    return miss
-
-
-def _replay_small_assoc(
-    grouped: np.ndarray, bounds: np.ndarray, assoc: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Miss flags and end state for ``assoc <= 2``, O(n) without sorting.
-
-    At associativity 1 an access hits iff it repeats the in-segment
-    predecessor (reuse distance 0).  At associativity 2 the only other
-    hit shape is reuse distance 1: the window back to the previous
-    occurrence is a single *run* of one foreign key — so a hit iff the
-    key just before the run ending at ``i-1`` equals ``keys[i]``.  Both
-    tests are local run analysis, which matters because the 2-way L2 is
-    the simulator's highest-volume cache: this path skips the
-    previous-occurrence radix sort entirely.
-
-    Returns ``(miss, resident)`` with ``resident`` in the usual grouped
-    LRU-first format (per segment: the pre-final-run key, if any, then
-    the final run's key).
-    """
-    n = grouped.shape[0]
-    chg = np.empty(n, dtype=bool)
-    chg[0] = True
-    np.not_equal(grouped[1:], grouped[:-1], out=chg[1:])
-    chg[bounds[:-1]] = True  # runs never span segments
-    miss = chg.copy()  # non-boundary repeats are the dist-0 hits
-    ends = bounds[1:] - 1  # last position of each segment
-    if assoc == 1:
-        return miss, grouped[ends]
-    iota = np.arange(n, dtype=np.int32)
-    rs = np.maximum.accumulate(np.where(chg, iota, 0))  # run start per position
-    seg_start = np.repeat(bounds[:-1].astype(np.int32), np.diff(bounds))
-    # dist-1 hits at i: i-1 ends a run of one foreign key and the key
-    # before that run (cand) is keys[i], still inside i's segment.
-    cand = rs[:-1] - 1
-    ok = chg[1:] & (cand >= seg_start[1:])
-    h1 = ok & (grouped[np.maximum(cand, 0)] == grouped[1:])
-    miss[1:] &= ~h1
-    # End state: MRU = final run's key; LRU = key before the final run.
-    mru = grouped[ends]
-    cand_e = rs[ends] - 1
-    has_lru = cand_e >= bounds[:-1]
-    counts = 1 + has_lru.astype(np.int64)
-    pos_end = np.cumsum(counts)
-    resident = np.empty(int(pos_end[-1]), dtype=grouped.dtype)
-    resident[pos_end - 1] = mru
-    resident[pos_end[has_lru] - 2] = grouped[np.maximum(cand_e, 0)][has_lru]
-    return miss, resident
-
-
 def setassoc_kernel(
     keys: np.ndarray,
     nsets: int,
     assoc: int,
     resident: np.ndarray | None = None,
 ) -> StreamResult:
-    """Replay ``keys`` through a set-associative LRU, batch-vectorized.
+    """Replay ``keys`` through a set-associative LRU in compiled code.
 
     ``resident`` is the prior cache content in :class:`StreamResult`
     format (grouped by set, LRU-first); ``None`` means a cold cache.
     Keys map to set ``key & (nsets - 1)`` exactly as
     :class:`repro.machines.cache.SetAssocCache` does.
     """
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    if resident is None or resident.shape[0] == 0:
+    if resident is None:
         resident = np.empty(0, dtype=np.int64)
-    else:
-        resident = np.ascontiguousarray(resident, dtype=np.int64)
-    nres = resident.shape[0]
-    combined = np.concatenate([resident, keys]) if nres else keys
-    n = combined.shape[0]
-    if n == 0:
-        return StreamResult(0, 0, resident)
-    # Narrow once up front: every later pass (set extraction, sort gather,
-    # run comparisons, extraction) then moves 1-4 bytes per key instead
-    # of 8.  Negative keys fall back to int64 untouched.
-    combined = _narrow(combined)
-    # Group by set, program order preserved within each set; the
-    # resident prefix of each set lands ahead of its stream accesses.
-    if nsets > 1:
-        mask = nsets - 1
-        if combined.dtype == np.int64:
-            sets_all = combined & mask
-            if nsets <= 1 << 16:
-                sets_all = sets_all.astype(np.uint16)
-        elif mask >= (1 << (8 * combined.dtype.itemsize)) - 1:
-            sets_all = combined  # mask covers the whole dtype: set id == key
-        else:
-            sets_all = combined & combined.dtype.type(mask)
-        order = np.argsort(sets_all, kind="stable")
-        grouped = combined[order]
-        # Segment boundaries fall out of the per-set population counts —
-        # no need to materialize the sorted set-id array for them.
-        counts = np.bincount(sets_all, minlength=nsets)
-        bounds = np.concatenate([[0], np.cumsum(counts[counts > 0])])
-    else:
-        grouped = combined
-        bounds = np.array([0, n], dtype=np.int64)
-
-    if assoc <= 2:
-        miss, new_resident = _replay_small_assoc(grouped, bounds, assoc)
-    else:
-        seg_end = np.repeat(bounds[1:], np.diff(bounds))
-        prev = _prev_occurrence(grouped)
-        miss = _miss_mask(prev, seg_end, assoc)
-        # Post-replay state: per set, the `assoc` distinct keys with the
-        # largest last-occurrence index, emitted LRU-first.  A position
-        # is a key's *last* occurrence iff nothing points back to it via
-        # ``prev``; those positions, in stream order, are already sorted
-        # by set (the grouping) and by recency within each set.
-        is_last = np.ones(n, dtype=bool)
-        has_next = prev >= 0
-        is_last[prev[has_next]] = False
-        idx = np.flatnonzero(is_last)
-        keys_last = grouped[idx]
-        if nsets > 1:
-            set_of_last = sets_all[order[idx]]
-            counts = np.bincount(set_of_last, minlength=nsets)
-            from_end = np.cumsum(counts)[set_of_last] - np.arange(idx.shape[0])
-            new_resident = keys_last[from_end <= assoc]  # from_end is 1-based
-        elif keys_last.shape[0] > assoc:
-            new_resident = keys_last[-assoc:]
-        else:
-            new_resident = keys_last
-    # Resident keys are distinct (one set each, unique within a set), so
-    # every uncharged prefix position is a first occurrence and carries a
-    # miss flag; charging the stream is a single subtraction.
-    misses = int(np.count_nonzero(miss)) - nres
-    evictions = nres + misses - new_resident.shape[0]
-    # Resident state goes back out as int64 regardless of the internal
-    # narrowing — it is tiny (<= nsets * assoc entries).
-    return StreamResult(misses, int(evictions), new_resident.astype(np.int64, copy=False))
+    if len(keys) == 0:
+        return StreamResult(0, 0, np.asarray(resident, dtype=np.int64))
+    return StreamResult(*native.lru_replay(keys, nsets, assoc, resident))
 
 
 def lru_kernel(
@@ -445,51 +86,6 @@ def lru_kernel(
 ) -> StreamResult:
     """Fully-associative LRU replay: one set of ``capacity`` ways."""
     return setassoc_kernel(keys, 1, capacity, resident)
-
-
-# ---------------------------------------------------------------------------
-# Multi-capacity sweeps: miss curves from stack distances
-# ---------------------------------------------------------------------------
-
-
-def _group_by_set(keys: np.ndarray, nsets: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group a stream by set index (stable), returning (grouped, bounds)."""
-    if nsets <= 1:
-        return keys, np.array([0, keys.shape[0]], dtype=np.int64)
-    sets = keys & (nsets - 1)
-    order = np.argsort(sets, kind="stable")
-    counts = np.bincount(sets, minlength=nsets)
-    bounds = np.concatenate([[0], np.cumsum(counts[counts > 0])])
-    return keys[order], bounds
-
-
-def stack_distance_histogram(
-    keys: np.ndarray, nsets: int = 1
-) -> tuple[np.ndarray, int]:
-    """Exact stack-distance histogram of a cold LRU replay.
-
-    Returns ``(hist, cold)`` where ``hist[d]`` counts accesses at finite
-    reuse distance ``d`` — distinct keys referenced since the previous
-    occurrence, within the key's set when ``nsets > 1`` — and ``cold``
-    counts first-ever occurrences.  By Mattson's stack-algorithm
-    inclusion property an access hits a ``nsets x a`` LRU iff its
-    distance is ``< a``, so the miss count at *every* associativity
-    falls out of this one replay: ``cold + hist[a:].sum()``.
-
-    Consecutive duplicate accesses contribute to ``hist[0]`` (distance
-    zero); they are hits at any capacity, so miss counts derived from
-    the histogram are collapse-invariant.
-    """
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    n = keys.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    grouped, _ = _group_by_set(keys, nsets)
-    prev = _prev_occurrence(grouped)
-    dist = count_left_le(prev) - (prev + 1)
-    d = dist[prev >= 0]
-    hist = np.bincount(d).astype(np.int64) if d.size else np.zeros(0, np.int64)
-    return hist, int(n - d.size)
 
 
 def miss_curve(
@@ -500,65 +96,54 @@ def miss_curve(
     ``capacities`` are ways per set (associativities) when ``nsets > 1``
     and plain capacities in the fully-associative ``nsets == 1`` case.
     Equivalent to replaying ``SetAssocCache(nsets, c).access_stream(keys)``
-    once per capacity, but costs a single dominance-count pass for the
-    whole curve.
+    once per capacity, but costs a single :class:`SetAssocSweep` pass.
     """
     caps = np.asarray(capacities, dtype=np.int64)
-    hist, cold = stack_distance_histogram(keys, nsets)
-    tail = np.concatenate([np.cumsum(hist[::-1])[::-1], [0]])
-    return cold + tail[np.minimum(caps, hist.shape[0])]
+    # No stack distance reaches the stream length, so deeper stacks add
+    # nothing: beyond it only the cold misses remain.
+    cmax = max(1, min(int(caps.max(initial=1)), len(keys)))
+    hist = SetAssocSweep(nsets, cmax).access_stream(keys)
+    return SetAssocSweep.curve(hist, np.minimum(caps, cmax))
 
 
-def _clamped_distances(
-    prev: np.ndarray, seg_end: np.ndarray, cmax: int
-) -> np.ndarray:
-    """Exact reuse distance per position, clamped at ``cmax``.
-
-    Returns ``min(dist, cmax)`` with cold positions (``prev < 0``) at
-    ``cmax``.  Same windowed-liveness trick as :func:`_miss_mask`, but
-    keeping the accumulator *value* where the window fits the lookback
-    (exact distance) instead of only the ``>= capacity`` verdict; far
-    positions whose lookback already holds ``cmax`` distinct live keys
-    are certain to clamp, and only the remaining sliver pays an exact
-    dominance count — per-query via :func:`_count_left_le_at` when the
-    sliver is small, the full O(n log^2 n) pass otherwise.
-    """
-    n = prev.shape[0]
-    out = np.full(n, cmax, dtype=np.int64)
-    if n == 0 or cmax <= 0:
-        return out
-    cold = prev < 0
-    if cmax >= n:
-        dist = count_left_le(prev) - (prev + 1)
-        np.minimum(dist, cmax, out=dist)
-        dist[cold] = cmax
-        return dist
-    iota = np.arange(n, dtype=np.int32)
-    gap = iota - prev.astype(np.int32)
-    has_next = prev >= 0
-    rem = np.empty(n, dtype=np.int32)
-    rem[:] = seg_end - 1
-    rem[prev[has_next]] = iota[has_next]
-    rem -= iota
-    W = int(min(max(cmax + cmax // 2, 8), 64, n - 1))
-    acc = np.zeros(n, dtype=np.uint8 if W <= 255 else np.int32)
-    buf = np.empty(n, dtype=bool)
-    win = np.empty(n, dtype=bool)
-    for k in range(1, W + 1):
-        a = np.greater_equal(rem[: n - k], k, out=buf[: n - k])
-        a &= np.greater(gap[k:], k, out=win[: n - k])
-        acc[k:] += a
-    near = (gap <= W + 1) & ~cold
-    out[near] = np.minimum(acc[near], cmax)
-    undec = np.flatnonzero(~cold & ~near & (acc < cmax))
-    if undec.size:
-        if undec.size * 64 > n:
-            dist = count_left_le(prev) - (prev + 1)
-            out[undec] = np.minimum(dist[undec], cmax)
+def _mattson_loop(keys, nsets, cmax, skeys, smd):
+    """Per-key Python twin of :func:`native.mattson_replay`."""
+    hist = [0] * (cmax + 1)
+    mask = nsets - 1
+    stacks: dict[int, tuple[list[int], list[int]]] = {}
+    for k, d in zip(skeys.tolist(), smd.tolist()):
+        ks, ms = stacks.setdefault(k & mask, ([], []))
+        ks.append(k)
+        ms.append(d)
+    prev = None
+    for k in keys.tolist():
+        if k == prev:
+            continue
+        prev = k
+        ks, ms = stacks.setdefault(k & mask, ([], []))
+        try:
+            j = ks.index(k)
+        except ValueError:
+            hist[cmax] += 1
+            j = len(ks)
         else:
-            dist = _count_left_le_at(prev, undec) - (prev[undec] + 1)
-            out[undec] = np.minimum(dist, cmax)
-    return out
+            hist[ms[j]] += 1
+            del ks[j], ms[j]
+        for t in range(j):  # keys above the slot slide down one place
+            ms[t] = max(ms[t], t + 1)
+        ks.insert(0, k)
+        ms.insert(0, 0)
+        if len(ks) > cmax:
+            ks.pop()
+            ms.pop()
+    order = sorted(stacks)
+    out_k = [k for s in order for k in stacks[s][0]]
+    out_m = [d for s in order for d in stacks[s][1]]
+    return (
+        np.array(hist, dtype=np.int64),
+        np.array(out_k, dtype=np.int64),
+        np.array(out_m, dtype=np.int64),
+    )
 
 
 class SetAssocSweep:
@@ -569,30 +154,30 @@ class SetAssocSweep:
     interleaved invalidations — the configuration family swept by
     :func:`repro.machines.hardware.simulate_hardware_sweep`.
 
-    The carried state is one ``(key, mdepth)`` pair per tracked key,
-    where ``mdepth`` is the maximum LRU stack depth the key has reached
-    in its set *since its last access*.  Because LRU eviction is
-    monotone in capacity and permanent (a key that ever reached depth
-    ``d`` has been evicted from every cache with fewer than ``d+1``
-    ways, and cannot re-enter until its next access), a key is resident
-    at associativity ``a`` iff it is tracked and ``mdepth < a``.  An
-    access's *generalized* stack distance is then::
-
-        g = max(mdepth, depth rebuilt from the valid-prefix replay)
-
-    and the access misses at associativity ``a`` iff ``g >= a`` — exact
-    at every capacity at once.  (A plain stack distance over the
-    surviving keys is *not* enough: deleting an invalidated key above a
-    previously-evicted one would let the latter slide back under the
-    capacity line; ``mdepth`` pins the historical maximum.)
+    Each set is an LRU stack of its tracked keys, MRU first.  Every
+    tracked key carries ``mdepth``, the deepest stack position it has
+    reached *since its last access*.  Because LRU eviction is monotone
+    in capacity and permanent (a key that ever reached depth ``d`` has
+    been evicted from every cache with fewer than ``d+1`` ways, and
+    cannot re-enter until its next access), a key is resident at
+    associativity ``a`` iff it is tracked and ``mdepth < a``.  An
+    access's *generalized* stack distance ``g`` is therefore the key's
+    ``mdepth`` (which is never less than its current stack position), or
+    ``max_assoc`` for an untracked key, and the access misses at
+    associativity ``a`` iff ``g >= a`` — exact at every capacity at
+    once.  (A plain stack distance over the surviving keys is *not* enough:
+    deleting an invalidated key above a previously-evicted one would let
+    the latter slide back under the capacity line; ``mdepth`` pins the
+    historical maximum.)  Keys whose ``mdepth`` reaches ``max_assoc`` are
+    dropped, so a set's stack never exceeds ``max_assoc`` entries.
 
     :meth:`access_stream` returns the histogram of ``g`` clamped at
     ``max_assoc``; miss counts are its suffix sums (:meth:`curve`).
     :meth:`invalidate_present` drops keys and returns their ``mdepth``
     thresholds: the key was resident — hence actually invalidated — at
     associativity ``a`` iff its threshold is ``< a``.  Equality with
-    per-capacity :class:`repro.machines.cache.SetAssocCache` replays is
-    asserted in ``tests/machines/test_sweep_kernels.py``.
+    per-capacity ``engine="loop"`` :class:`repro.machines.cache.SetAssocCache`
+    replays is asserted in ``tests/machines/test_sweep_kernels.py``.
     """
 
     def __init__(self, nsets: int, max_assoc: int) -> None:
@@ -602,9 +187,8 @@ class SetAssocSweep:
             raise ValueError(f"max_assoc must be >= 1, got {max_assoc}")
         self.nsets = nsets
         self.max_assoc = max_assoc
-        # Tracked keys grouped by ascending set, mdepth-ascending
-        # (MRU-first) within each set; mdepth strictly increasing within
-        # a set mirrors the recency order of the valid keys.
+        # Tracked keys grouped by ascending set, MRU-first within each
+        # set; mdepth strictly increases down a set's stack.
         self._keys = np.empty(0, dtype=np.int64)
         self._mdepth = np.empty(0, dtype=np.int64)
 
@@ -623,111 +207,13 @@ class SetAssocSweep:
         ``a <= max_assoc`` is ``hist[a:].sum()``, matching
         ``SetAssocCache(nsets, a).access_stream(keys)``.
         """
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        cmax = self.max_assoc
-        n = keys.shape[0]
-        if n == 0:
-            return np.zeros(cmax + 1, dtype=np.int64)
-        if n > 1:  # collapse duplicate runs: distance-0 hits at any capacity
-            keep = np.empty(n, dtype=bool)
-            keep[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-            keys = keys[keep]
-            n = keys.shape[0]
-        nsets = self.nsets
-        skeys, smd = self._keys, self._mdepth
-        m = skeys.shape[0]
-
-        # Build the combined stream: per set, the valid keys LRU-first
-        # (an uncharged prefix reconstructing the recency order) followed
-        # by the epoch's accesses in program order.
-        if nsets > 1:
-            mask = nsets - 1
-            stream_sets = keys & mask
-            state_sets = skeys & mask
-        else:
-            stream_sets = np.zeros(n, dtype=np.int64)
-            state_sets = np.zeros(m, dtype=np.int64)
-        mcounts = np.bincount(state_sets, minlength=nsets)
-        ncounts = np.bincount(stream_sets, minlength=nsets)
-        seg_sizes = mcounts + ncounts
-        seg_cum = np.cumsum(seg_sizes)
-        seg_start = seg_cum - seg_sizes
-        # State is stored MRU-first per set; reverse into LRU-first slots.
-        m_local = np.arange(m, dtype=np.int64) - np.repeat(
-            np.cumsum(mcounts) - mcounts, mcounts
+        if len(keys) == 0:
+            return np.zeros(self.max_assoc + 1, dtype=np.int64)
+        replay = native.mattson_replay if native.available() else _mattson_loop
+        hist, self._keys, self._mdepth = replay(
+            np.asarray(keys, dtype=np.int64), self.nsets, self.max_assoc,
+            self._keys, self._mdepth,
         )
-        pdst = seg_start[state_sets] + (mcounts[state_sets] - 1 - m_local)
-        sorder = (
-            np.argsort(_narrow(stream_sets), kind="stable")
-            if nsets > 1
-            else np.arange(n, dtype=np.int64)
-        )
-        s_local = np.arange(n, dtype=np.int64) - np.repeat(
-            np.cumsum(ncounts) - ncounts, ncounts
-        )
-        ssets = stream_sets[sorder]
-        sdst = seg_start[ssets] + mcounts[ssets] + s_local
-        N = m + n
-        combined = np.empty(N, dtype=np.int64)
-        combined[pdst] = skeys
-        combined[sdst] = keys[sorder]
-        is_stream = np.ones(N, dtype=bool)
-        is_stream[pdst] = False
-        md_at = np.zeros(N, dtype=np.int64)
-        md_at[pdst] = smd
-        seg_id = np.repeat(np.arange(nsets, dtype=np.int64), seg_sizes)
-        seg_end = np.repeat(seg_cum, seg_sizes)
-        prefix_end = np.repeat(seg_start + mcounts, seg_sizes)
-
-        prev = _prev_occurrence(combined)
-        dist = _clamped_distances(prev, seg_end, cmax)
-        cold = prev < 0
-        # prev lies inside the same segment, so "prefix hit" is just
-        # prev < the segment's prefix end.
-        phit = ~cold & (prev < prefix_end)
-        g = np.where(phit, np.maximum(md_at[np.maximum(prev, 0)], dist), dist)
-        g[cold] = cmax
-        hist = np.bincount(g[is_stream], minlength=cmax + 1).astype(np.int64)
-
-        # --- new state ---------------------------------------------------
-        is_last = np.ones(N, dtype=bool)
-        has_next = prev >= 0
-        is_last[prev[has_next]] = False
-        # Keys accessed this epoch: their stream last occurrences, in
-        # position order = LRU-first; new mdepth = #later last occurrences.
-        sl = np.flatnonzero(is_last & is_stream)
-        sl_sets = seg_id[sl]
-        acc_counts = np.bincount(sl_sets, minlength=nsets)
-        a_local = np.arange(sl.shape[0], dtype=np.int64) - np.repeat(
-            np.cumsum(acc_counts) - acc_counts, acc_counts
-        )
-        md_accessed = acc_counts[sl_sets] - 1 - a_local
-        # Un-accessed valid keys: depth only grows within an epoch, so
-        # the epoch max is the end depth — every distinct stream key is
-        # now above, plus the un-accessed prefix slots that were already
-        # above (accessed ones are part of the stream-key count).
-        unacc = np.flatnonzero(~is_stream & is_last)
-        acc_flag = (~is_stream & ~is_last).astype(np.int64)
-        accs = np.cumsum(acc_flag)
-        acc_after = accs[prefix_end[unacc] - 1] - accs[unacc]
-        slots_after = prefix_end[unacc] - 1 - unacc
-        end_depth = slots_after - acc_after + acc_counts[seg_id[unacc]]
-        md_unacc = np.maximum(md_at[unacc], end_depth)
-
-        all_keys = np.concatenate([combined[sl], combined[unacc]])
-        all_md = np.concatenate([md_accessed, md_unacc])
-        all_sets = np.concatenate([sl_sets, seg_id[unacc]])
-        keep = all_md < cmax
-        if not keep.all():
-            all_keys, all_md, all_sets = (
-                all_keys[keep],
-                all_md[keep],
-                all_sets[keep],
-            )
-        order2 = np.lexsort((all_md, all_sets))
-        self._keys = all_keys[order2]
-        self._mdepth = all_md[order2]
         return hist
 
     def invalidate_present(

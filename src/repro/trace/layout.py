@@ -329,15 +329,23 @@ class DecodeMemo:
     def geometry_key(layout: Layout, unit: int) -> tuple:
         return (layout.regions, layout.bases, layout.align, unit)
 
-    def epoch(self, layout: Layout, unit: int, index: int) -> DecodedEpoch:
-        """Decoded streams for ``trace.epochs[index]`` under this geometry."""
+    def epoch(
+        self, layout: Layout, unit: int, index: int, *, store: bool = True
+    ) -> DecodedEpoch:
+        """Decoded streams for ``trace.epochs[index]`` under this geometry.
+
+        ``store=False`` still serves an entry that is already cached, but
+        does not keep a fresh decode: for one-shot readers (the interval
+        ladder) that would otherwise pin every epoch's streams.
+        """
         gkey = self.geometry_key(layout, unit)
-        per_geometry = self._geometries.setdefault(gkey, {})
-        decoded = per_geometry.get(index)
+        decoded = self._geometries.get(gkey, {}).get(index)
         if decoded is None:
             self.decodes += 1
             decoded = decode_epoch(self._trace.epochs[index], layout, unit)
-            per_geometry[index] = decoded
+            if not store:
+                return decoded
+            self._geometries.setdefault(gkey, {})[index] = decoded
             if self.max_epochs is not None:
                 self._lru[(gkey, index)] = None
                 while len(self._lru) > self.max_epochs:
@@ -349,6 +357,9 @@ class DecodeMemo:
             if self.max_epochs is not None:
                 self._lru.move_to_end((gkey, index))
         return decoded
+
+    def has_derived(self, key: tuple) -> bool:
+        return key in self._derived
 
     def derived(self, key: tuple, build):
         """Get-or-build an arbitrary derived product cached on this trace."""

@@ -21,7 +21,7 @@ from repro.experiments import (
     run_suite,
     scaling_curve,
 )
-from repro.experiments.runner import make_app
+from repro.experiments.runner import _cache_key_for, make_app, run_one
 from repro.machines import simulate_hardware, simulate_treadmarks
 from repro.machines.params import cluster_scaled
 from repro.runtime.faults import garble_file, truncate_file
@@ -149,6 +149,27 @@ class TestExecutorDispatchAndResume:
         assert len(resumed) == len(serial)
 
 
+class TestSweepTraceCompression:
+    def test_sweep_shares_run_one_cache_entry(self, tmp_path):
+        """With a compressed runtime the sweep stores and loads the same v3
+        entry ``run_one`` uses, and writes no v2 entry beside it."""
+        grid = SweepGrid(apps=("moldyn",), versions=("hilbert",),
+                         platforms=("origin",), l2_bytes=(32768,))
+        cache = TraceCache(tmp_path)
+        set_runtime(RuntimeContext(cache=cache, trace_compression="zlib"))
+        SweepPlan(grid, SCALE).run()
+        v3 = _cache_key_for("moldyn", "hilbert", SCALE, SCALE.nprocs, "zlib")
+        assert v3.format_version == 3
+        assert [p.name for p in tmp_path.glob("*.npt")] == [v3.filename()]
+        assert cache.hits == 1  # the group read back the prefetched entry
+        clear_cache()
+        run_one("moldyn", "hilbert", "origin", SCALE)
+        assert cache.hits == 2
+        names = {p.name for p in tmp_path.glob("*.npt")}
+        assert v3.filename() in names
+        assert not any(name.endswith("_fv2.npt") for name in names)
+
+
 class TestMatrixThroughPlanner:
     def test_run_suite_parallel_equals_serial(self, tmp_path):
         serial = run_suite(apps=("moldyn",), scale=SCALE)
@@ -228,9 +249,9 @@ class TestCheckpointCorruption:
         real = sweep_mod.run_sweep_group
         ran = []
 
-        def counting(cache_root, group, scale):
+        def counting(cache_root, group, scale, *rest):
             ran.append(group.key(scale))
-            return real(cache_root, group, scale)
+            return real(cache_root, group, scale, *rest)
 
         monkeypatch.setattr(sweep_mod, "run_sweep_group", counting)
         resumed = SweepPlan(self.GRID2, SCALE).run()

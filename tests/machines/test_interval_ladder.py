@@ -24,6 +24,7 @@ from repro.machines.dsm import (
     simulate_treadmarks_sweep,
 )
 from repro.machines.params import cluster_scaled
+from repro.trace.layout import DecodeMemo, Layout, decode_memo
 
 PAGE_SIZES = (512, 1024, 4096, 8192)
 
@@ -75,6 +76,47 @@ class TestLadderEqualsPerSizeBuild:
         trace = _trace(Moldyn, n=128, iterations=1)
         with pytest.raises(Exception):
             build_interval_ladder(trace, (4096, 3000))
+
+
+class TestLadderMemo:
+    """The ladder reads the finest-size decode once and does not keep it:
+    its own interval products are what later calls reuse."""
+
+    def _counting(self, memo):
+        calls = []
+        epoch = memo.epoch
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return epoch(*args, **kwargs)
+
+        memo.epoch = counted
+        return calls
+
+    def test_finest_decode_not_retained(self):
+        trace = _trace(BarnesHut)
+        layout = Layout.for_trace(trace, align=max(PAGE_SIZES))
+        memo = decode_memo(trace)
+        finest = DecodeMemo.geometry_key(layout, min(PAGE_SIZES))
+        cached = memo.epoch(layout, min(PAGE_SIZES), 0)  # already held
+        before = {k: set(v) for k, v in memo._geometries.items()}
+        hits, decodes = memo.hits, memo.decodes
+        requests = self._counting(memo)
+        build_interval_ladder(trace, PAGE_SIZES, layout)
+        assert {k: set(v) for k, v in memo._geometries.items()} == before
+        assert memo._geometries[finest][0] is cached
+        assert len(requests) == len(trace.epochs)
+        assert (memo.hits - hits) + (memo.decodes - decodes) == len(requests)
+        assert memo.hits - hits == 1  # the entry that was already cached
+
+    def test_repeat_call_reuses_interval_products(self):
+        trace = _trace(Moldyn)
+        first, layout = build_interval_ladder(trace, PAGE_SIZES)
+        requests = self._counting(decode_memo(trace))
+        second, _ = build_interval_ladder(trace, PAGE_SIZES, layout)
+        assert requests == []
+        for size in PAGE_SIZES:
+            assert second[size] is first[size]
 
 
 class TestDSMSweepEqualsStandalone:

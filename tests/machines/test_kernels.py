@@ -1,4 +1,4 @@
-"""Equivalence tests: vectorized replay kernels vs the loop reference.
+"""Equivalence tests: compiled replay kernels vs the loop reference.
 
 The kernels must be *count-for-count* identical to the OrderedDict
 reference — misses, evictions, resident set, and per-set LRU order —
@@ -6,6 +6,10 @@ on randomized streams with interleaved invalidations, including the
 empty-stream and collapse edge cases.  The whole-simulator test then
 checks that ``simulate_hardware`` produces identical results whichever
 engine the caches dispatch to.
+
+Tests that need the compiled library skip when no C compiler is
+available; the fallback tests at the end run either way (they hide the
+compiler themselves).
 """
 
 import numpy as np
@@ -13,13 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.machines import cache as cache_mod
+from repro.machines import native
 from repro.machines.cache import LRUCache, SetAssocCache, collapse_runs
-from repro.machines.kernels import (
-    count_left_le,
-    lru_kernel,
-    reuse_distances,
-    setassoc_kernel,
+from repro.machines.kernels import SetAssocSweep, lru_kernel, setassoc_kernel
+
+needs_kernel = pytest.mark.skipif(
+    not native.available(), reason="no C compiler for the compiled replay"
 )
 
 
@@ -31,50 +36,13 @@ def force_engine(monkeypatch):
     return _force
 
 
-class TestCountLeftLe:
-    def brute(self, vals):
-        return [
-            sum(1 for t in range(i) if vals[t] <= vals[i]) for i in range(len(vals))
-        ]
-
-    def test_small_cases(self):
-        for vals in ([], [5], [3, 1, 2, 2, 0], [1, 1, 1], list(range(9, -1, -1))):
-            arr = np.array(vals, dtype=np.int64)
-            assert count_left_le(arr).tolist() == self.brute(vals)
-
-    def test_random_matches_brute_force(self, rng):
-        for n in (2, 3, 17, 64, 100, 257):
-            vals = rng.integers(-5, 30, n)
-            assert count_left_le(vals).tolist() == self.brute(vals.tolist())
-
-    def test_non_power_of_two_lengths(self, rng):
-        vals = rng.integers(0, 7, 1000)
-        assert count_left_le(vals).tolist() == self.brute(vals.tolist())
-
-
-class TestReuseDistances:
-    def test_known_stream(self):
-        # keys:  1  2  3  1  4  1
-        # dist:  ∞  ∞  ∞  2  ∞  1
-        d = reuse_distances(np.array([1, 2, 3, 1, 4, 1]))
-        cold = np.iinfo(np.int64).max
-        assert d.tolist() == [cold, cold, cold, 2, cold, 1]
-
-    def test_miss_rule_matches_lru(self, rng):
-        keys = rng.integers(0, 25, 400)
-        for cap in (1, 2, 5, 16):
-            expected = LRUCache(cap)
-            misses = [not expected.access(int(k)) for k in keys]
-            got = reuse_distances(keys) >= cap
-            assert got.tolist() == misses
-
-
 def _loop_twin(kind, nsets, assoc):
     if kind == "lru":
         return LRUCache(assoc)
     return SetAssocCache(nsets, assoc)
 
 
+@needs_kernel
 @pytest.mark.parametrize(
     "kind,nsets,assoc",
     [("lru", 1, 1), ("lru", 1, 7), ("lru", 1, 64), ("sa", 4, 2), ("sa", 8, 1), ("sa", 16, 4)],
@@ -100,6 +68,7 @@ def test_kernel_equals_loop_with_invalidations(kind, nsets, assoc, rng):
         assert loop.resident().tolist() == kern.resident().tolist()
 
 
+@needs_kernel
 def test_empty_stream_and_empty_cache():
     for c in (LRUCache(4), SetAssocCache(4, 2)):
         assert c.access_stream(np.empty(0, dtype=np.int64), engine="kernel") == 0
@@ -110,6 +79,7 @@ def test_empty_stream_and_empty_cache():
     assert res.misses == 1 and res.resident.tolist() == [3]
 
 
+@needs_kernel
 def test_collapse_runs_same_counts_both_engines(rng):
     raw = np.repeat(rng.integers(0, 30, 200), rng.integers(1, 5, 200))
     for engine in ("loop", "kernel"):
@@ -123,46 +93,56 @@ def test_collapse_runs_same_counts_both_engines(rng):
         assert a.resident().tolist() == b.resident().tolist()
 
 
-def test_kernel_threshold_dispatch(force_engine):
-    """auto uses the kernel for long streams and whenever state is already
-    in array form (so hot loops never materialize dicts)."""
+@needs_kernel
+def test_auto_dispatch(force_engine):
+    """auto uses the kernel for streams of any length, so hot loops never
+    materialize dicts; point operations still do."""
     force_engine("auto")
     c = LRUCache(16)
-    c.access_stream(np.arange(cache_mod.KERNEL_THRESHOLD + 1))  # kernel path
-    assert c._arr is not None and c._entries is None
-    c.access_stream(np.array([1, 2]))  # short, but state is array: stays kernel
-    assert c._arr is not None
+    c.access_stream(np.array([1, 2]))
+    assert c._arr is not None and c._sets is None
     assert c.access(1) is True  # point op materializes the dict form
-    assert c._entries is not None and c._arr is None
+    assert c._sets is not None and c._arr is None
+    c.access_stream(np.array([3]))
+    assert c._arr is not None and c.resident().tolist() == [2, 1, 3]
 
 
+@needs_kernel
 @given(
     data=st.data(),
     nsets=st.sampled_from([1, 2, 8]),
     assoc=st.integers(1, 5),
+    extra=st.integers(0, 3),
 )
 @settings(max_examples=40, deadline=None)
-def test_property_streams_with_invalidations(data, nsets, assoc):
+def test_property_streams_with_invalidations(data, nsets, assoc, extra):
+    """Kernel cache and sweep against the loop oracle, negative keys
+    included.  The sweep tracks up to ``assoc + extra`` ways and is read
+    at ``assoc``."""
     loop = SetAssocCache(nsets, assoc)
     kern = SetAssocCache(nsets, assoc)
+    sweep = SetAssocSweep(nsets, assoc + extra)
     nsegs = data.draw(st.integers(1, 4))
     for _ in range(nsegs):
         keys = np.array(
-            data.draw(st.lists(st.integers(0, 40), max_size=120)), dtype=np.int64
+            data.draw(st.lists(st.integers(-40, 40), max_size=120)), dtype=np.int64
         )
         collapse = data.draw(st.booleans())
-        assert loop.access_stream(
-            keys, collapse=collapse, engine="loop"
-        ) == kern.access_stream(keys, collapse=collapse, engine="kernel")
+        m_loop = loop.access_stream(keys, collapse=collapse, engine="loop")
+        assert m_loop == kern.access_stream(keys, collapse=collapse, engine="kernel")
+        assert m_loop == sweep.access_stream(keys)[assoc:].sum()
         inval = np.unique(
-            np.array(data.draw(st.lists(st.integers(0, 40), max_size=10)), dtype=np.int64)
+            np.array(data.draw(st.lists(st.integers(-40, 40), max_size=10)), dtype=np.int64)
         )
-        assert loop.invalidate(inval) == kern.invalidate_present(inval).shape[0]
+        n_loop = loop.invalidate(inval)
+        assert n_loop == kern.invalidate_present(inval).shape[0]
+        assert n_loop == (sweep.invalidate_present(inval)[1] < assoc).sum()
         assert loop.resident().tolist() == kern.resident().tolist()
         assert loop.misses == kern.misses
         assert loop.evictions == kern.evictions
 
 
+@needs_kernel
 def test_simulate_hardware_engine_equivalence(force_engine):
     """Whole-simulator equality: the Moldyn trace replayed with the loop
     engine and the kernel engine yields identical counters and timing."""
@@ -185,3 +165,38 @@ def test_simulate_hardware_engine_equivalence(force_engine):
     assert np.array_equal(a.coherence_misses, b.coherence_misses)
     assert np.array_equal(a.capacity_misses, b.capacity_misses)
     assert a.time == b.time
+
+
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """Hide the C compiler and forget any library this process loaded."""
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    monkeypatch.setattr(native, "_lib", None)
+    monkeypatch.setattr(native, "_error", None)
+
+
+def test_no_compiler_kernel_raises(no_compiler):
+    assert not native.available()
+    with pytest.raises(ConfigError, match="compiler"):
+        LRUCache(4).access_stream(np.arange(10), engine="kernel")
+    with pytest.raises(ConfigError):
+        setassoc_kernel(np.arange(10), 4, 2)
+
+
+def test_no_compiler_default_engine_matches_loop(no_compiler, force_engine, rng):
+    """Without a compiler ``auto`` (and so the default) is the loop engine,
+    and the sweep falls back to its Python stack: same counts."""
+    force_engine("auto")
+    auto, loop = SetAssocCache(4, 2), SetAssocCache(4, 2)
+    sweep = SetAssocSweep(4, 3)
+    for _ in range(4):
+        keys = rng.integers(-10, 60, 300)
+        m = loop.access_stream(keys, engine="loop")
+        assert auto.access_stream(keys) == m
+        assert sweep.access_stream(keys)[2:].sum() == m
+        inval = np.unique(rng.integers(-10, 60, 15))
+        n = loop.invalidate(inval)
+        assert auto.invalidate_present(inval).shape[0] == n
+        assert (sweep.invalidate_present(inval)[1] < 2).sum() == n
+        assert auto.resident().tolist() == loop.resident().tolist()
+    assert auto.evictions == loop.evictions

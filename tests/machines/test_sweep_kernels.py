@@ -1,10 +1,11 @@
 """Property tests for the multi-capacity sweep kernels.
 
 The sweep machinery answers *every* capacity from one replay; these
-tests pin it count-for-count to the per-capacity reference engines:
+tests pin it count-for-count to the per-capacity ``engine="loop"``
+reference, which shares no code with the compiled replay:
 
-* :func:`miss_curve` / :func:`stack_distance_histogram` vs one
-  ``SetAssocCache.access_stream`` replay per capacity;
+* :func:`miss_curve` vs one ``SetAssocCache.access_stream`` replay per
+  capacity;
 * :class:`SetAssocSweep` vs per-capacity replays across epoch
   boundaries *and* interleaved barrier invalidations — the hard case,
   since eviction under invalidation is where naive stack algorithms
@@ -19,23 +20,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import AppConfig
+from repro.apps import APP_REGISTRY, AppConfig
 from repro.apps.moldyn import Moldyn
 from repro.errors import SimulationInputError
+from repro.machines import cache as cache_mod
+from repro.machines import native
 from repro.machines.cache import SetAssocCache
 from repro.machines.hardware import simulate_hardware, simulate_hardware_sweep
-from repro.machines.kernels import (
-    SetAssocSweep,
-    miss_curve,
-    stack_distance_histogram,
-)
+from repro.machines.kernels import SetAssocSweep, miss_curve
 from repro.machines.params import origin2000_scaled
 
 
 class TestMissCurve:
     def _reference(self, keys, caps, nsets):
         return [
-            SetAssocCache(nsets, int(c)).access_stream(keys) for c in caps
+            SetAssocCache(nsets, int(c)).access_stream(keys, engine="loop")
+            for c in caps
         ]
 
     def test_known_stream(self):
@@ -63,15 +63,17 @@ class TestMissCurve:
 
     def test_histogram_totals(self, rng):
         keys = rng.integers(0, 100, 800)
-        hist, cold = stack_distance_histogram(keys, nsets=4)
+        collapsed = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        # Deep enough that only first-ever occurrences land in the last bin.
+        hist = SetAssocSweep(4, 800).access_stream(keys)
+        cold = hist[-1]
         assert cold == np.unique(keys).shape[0]
-        assert hist.sum() + cold == keys.shape[0]
-        # Misses at capacity 1 = everything except distance-0 repeats.
-        assert miss_curve(keys, np.array([1]), nsets=4)[0] == cold + hist[1:].sum()
+        assert hist.sum() == collapsed.shape[0]
+        assert miss_curve(keys, np.array([1]), nsets=4)[0] == hist[1:].sum()
 
     def test_empty_stream(self):
-        hist, cold = stack_distance_histogram(np.empty(0, dtype=np.int64))
-        assert cold == 0 and hist.shape[0] == 0
+        hist = SetAssocSweep(1, 4).access_stream(np.empty(0, dtype=np.int64))
+        assert hist.tolist() == [0] * 5
         assert miss_curve(np.empty(0, dtype=np.int64), np.array([1, 4])).tolist() == [0, 0]
 
     @given(
@@ -110,14 +112,14 @@ class TestSetAssocSweep:
                     [hist[a:].sum() for a in assocs], dtype=np.int64
                 )
                 for a in assocs:
-                    ref_miss[a] += refs[a].access_stream(keys)
+                    ref_miss[a] += refs[a].access_stream(keys, engine="loop")
             if inval.size:
                 _, thr = sweep.invalidate_present(inval)
                 removed_at[1:] += np.asarray(
                     [(thr < a).sum() for a in assocs], dtype=np.int64
                 )
                 for a in assocs:
-                    ref_removed[a] += refs[a].invalidate_present(inval).shape[0]
+                    ref_removed[a] += refs[a].invalidate(inval)
         got = {a: (int(misses[a]), int(removed_at[a])) for a in assocs}
         want = {a: (ref_miss[a], ref_removed[a]) for a in assocs}
         return got, want
@@ -173,12 +175,15 @@ class TestSetAssocSweep:
         hist = sweep.access_stream(np.array([1, 2, 3, 1, 2, 3, 1]))
         caps = np.array([1, 2, 3, 4, 8])
         ref = [SetAssocCache(1, int(c)).access_stream(
-            np.array([1, 2, 3, 1, 2, 3, 1])) for c in caps]
+            np.array([1, 2, 3, 1, 2, 3, 1]), engine="loop") for c in caps]
         assert SetAssocSweep.curve(hist, caps).tolist() == ref
 
 
 class TestHardwareSweep:
-    """simulate_hardware_sweep == per-point simulate_hardware, exactly."""
+    """simulate_hardware_sweep == per-point simulate_hardware, exactly.
+
+    The per-point reference replays with the ``loop`` engine.
+    """
 
     @pytest.fixture(scope="class")
     def trace(self):
@@ -186,13 +191,14 @@ class TestHardwareSweep:
         app.reorder("hilbert")
         return app.run()
 
-    def test_matches_per_point(self, trace):
+    def test_matches_per_point(self, trace, monkeypatch):
         base = origin2000_scaled(32, 8)
         l2_list = [base.l2_bytes, base.l2_bytes * 2, base.l2_bytes * 4]
         line_sizes = [base.line_size, base.line_size * 2]
         results = simulate_hardware_sweep(
             trace, base, l2_bytes=l2_list, line_sizes=line_sizes
         )
+        monkeypatch.setattr(cache_mod, "DEFAULT_ENGINE", "loop")
         assert len(results) == len(l2_list) * len(line_sizes)
         from dataclasses import replace
 
@@ -218,3 +224,24 @@ class TestHardwareSweep:
         base = origin2000_scaled(32, 8)
         with pytest.raises(SimulationInputError):
             simulate_hardware_sweep(trace, base, l2_bytes=[base.l2_bytes + 1])
+
+
+@pytest.mark.skipif(not native.available(), reason="no C compiler for the compiled replay")
+@pytest.mark.parametrize("app_name", sorted(APP_REGISTRY))
+def test_all_apps_origin_counters_match_loop(app_name, monkeypatch):
+    """Every app at tiny n: the compiled single-point replay and every
+    sweep point equal the loop engine, counter for counter."""
+    app = APP_REGISTRY[app_name](AppConfig(n=256, nprocs=4, iterations=2, seed=5))
+    trace = app.run()
+    base = origin2000_scaled(4096, 4)  # 8 sets: capacity misses on every app
+    l2_list = [base.l2_bytes * m for m in (1, 2, 3)]
+    swept = simulate_hardware_sweep(trace, base, l2_bytes=l2_list)
+    kernel = simulate_hardware(trace, base)
+    monkeypatch.setattr(cache_mod, "DEFAULT_ENGINE", "loop")
+    fields = ("l2_misses", "tlb_misses", "invalidations", "cold_misses",
+              "coherence_misses", "capacity_misses", "classification_overcount")
+    for got, p in [(kernel, base)] + [(r, r.params) for r in swept]:
+        ref = simulate_hardware(trace, p)
+        for f in fields:
+            assert np.array_equal(getattr(got, f), getattr(ref, f)), (p.l2_bytes, f)
+        assert got.time == ref.time
