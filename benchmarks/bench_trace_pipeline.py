@@ -29,8 +29,14 @@ The simulators' counters (L2 misses, DSM messages/bytes) must match
 exactly across the two runs — the speedup is only meaningful if the
 results are identical.
 
+``test_v3_size_floor`` holds the compressed-format claim on the same
+trace: the zlib chunked v3 bundle is at least ``SIZE_RATIO_FLOOR`` times
+smaller than the uncompressed v2 bundle, and the Origin replay from it
+yields identical counters.
+
 Numbers are persisted to ``benchmarks/results/bench_trace_pipeline.txt``
-and ``benchmarks/results/BENCH_pipeline.json``.
+and ``benchmarks/results/BENCH_pipeline.json`` (the v3 check under its
+``compressed_v3`` key).
 """
 
 import gc
@@ -38,6 +44,7 @@ import json
 import pathlib
 import time
 
+import numpy as np
 import pytest
 
 from repro.apps import AppConfig, BarnesHut
@@ -53,6 +60,7 @@ NPROCS = 16
 ITERATIONS = 2
 SEED = 5
 FLOOR = 3.0
+SIZE_RATIO_FLOOR = 10
 
 STAGES = ("generate", "save", "load", "sim_origin", "sim_treadmarks", "sim_hlrc")
 # Floor applies to the format-bound stages (see module docstring).
@@ -65,6 +73,12 @@ ROUNDS = 3
 # drift — which can easily exceed the ~15% regression this guards
 # against when the forms run minutes apart — cancels out of the ratio.
 ORIGIN_TOLERANCE = 1.05
+
+RESULT_ARRAYS = (
+    "l2_misses", "tlb_misses", "invalidations", "work", "lock_acquires",
+    "cold_misses", "coherence_misses", "capacity_misses",
+    "classification_overcount",
+)
 
 
 def _run_pipeline(tmp, packed):
@@ -246,9 +260,12 @@ def test_trace_pipeline_speedup(tmp_path, emit):
         },
     }
     RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_pipeline.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    path = RESULTS_DIR / "BENCH_pipeline.json"
+    if path.exists():  # keep test_v3_size_floor's record
+        kept = json.loads(path.read_text()).get("compressed_v3")
+        if kept is not None:
+            payload["compressed_v3"] = kept
+    path.write_text(json.dumps(payload, indent=2) + "\n")
 
     assert pipeline_speedup >= FLOOR, (
         f"packed pipeline only {pipeline_speedup:.2f}x faster than burst "
@@ -263,4 +280,55 @@ def test_trace_pipeline_speedup(tmp_path, emit):
         f"packed sim_origin regressed: {guard_packed:.3f}s vs "
         f"burst baseline {guard_burst:.3f}s (paired interleaved, "
         f"tolerance {ORIGIN_TOLERANCE:.2f}x)"
+    )
+
+
+@pytest.mark.slow
+def test_v3_size_floor(tmp_path, emit):
+    """Acceptance: v3 zlib is >= 10x smaller than v2, same replay counters."""
+    trace = BarnesHut(
+        AppConfig(n=APP_N, nprocs=NPROCS, iterations=ITERATIONS, seed=SEED)
+    ).run()
+    v2, v3 = tmp_path / "t.npt", tmp_path / "t3.npt"
+    save_trace(trace, v2)
+    save_trace(trace, v3, compression="zlib")
+    del trace
+    gc.collect()
+
+    hw = origin2000_scaled(8, NPROCS)
+    res_v2 = simulate_hardware(load_trace(v2), hw)
+    res_v3 = simulate_hardware(load_trace(v3), hw)
+    for name in RESULT_ARRAYS:
+        assert np.array_equal(getattr(res_v2, name), getattr(res_v3, name)), name
+    assert res_v2.time == res_v3.time
+    assert res_v2.phase_times == res_v3.phase_times
+
+    v2_bytes, v3_bytes = v2.stat().st_size, v3.stat().st_size
+    size_ratio = v2_bytes / v3_bytes
+    emit("bench_trace_v3", "\n".join([
+        f"Trace format v3 — Barnes-Hut n={APP_N}, P={NPROCS}, "
+        f"{ITERATIONS} iterations (seed {SEED})",
+        f"trace file: {v2_bytes:,} B (v2) vs {v3_bytes:,} B (v3 zlib) = "
+        f"{size_ratio:.1f}x smaller (floor {SIZE_RATIO_FLOOR}x)",
+        f"origin replay: {int(res_v2.total_l2_misses)} L2 misses, "
+        f"{int(res_v2.total_tlb_misses)} TLB misses; every HardwareResult "
+        "array, time and phase_times identical from v2 and v3",
+    ]))
+
+    path = RESULTS_DIR / "BENCH_pipeline.json"
+    RESULTS_DIR.mkdir(exist_ok=True)
+    payload = json.loads(path.read_text()) if path.exists() else {}
+    payload["compressed_v3"] = {
+        "file_bytes": {"v2": v2_bytes, "v3_zlib": v3_bytes},
+        "size_ratio": round(size_ratio, 2),
+        "size_ratio_floor": SIZE_RATIO_FLOOR,
+        "counters_identical": True,
+        "origin_l2_misses": int(res_v2.total_l2_misses),
+        "origin_tlb_misses": int(res_v2.total_tlb_misses),
+    }
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+
+    assert size_ratio >= SIZE_RATIO_FLOOR, (
+        f"v3 only {size_ratio:.1f}x smaller than v2 "
+        f"({v2_bytes:,} -> {v3_bytes:,} B); floor is {SIZE_RATIO_FLOOR}x"
     )

@@ -7,15 +7,11 @@ Usage::
     python -m repro reproduce all --paper-scale
     python -m repro run barnes-hut --version hilbert --platform treadmarks
     python -m repro sweep barnes-hut --grid l2=256K,1M --grid line_size=64,128
-    python -m repro serve --state-dir svc --workers 4
-    python -m repro submit moldyn --grid l2=256K,1M --wait
-    python -m repro jobs
+    python -m repro --cache-dir cache sweep moldyn --grid l2=256K,1M
 
 Resilience flags (accepted before or after the subcommand)::
 
     --jobs 8               generate traces across 8 worker processes
-    --replay-jobs 4        fan machine-model replay of cached traces across
-                           4 worker processes (byte-identical results)
     --trace-compression zlib   write chunked compressed v3 cache entries
     --cache-dir DIR        persistent trace cache; interrupted runs resume
     --no-resume            keep writing the cache but never read it
@@ -27,7 +23,7 @@ Resilience flags (accepted before or after the subcommand)::
 Exit codes follow the :mod:`repro.errors` hierarchy
 (:func:`repro.errors.exit_code_for`): 0 success, 2 configuration error
 (also argparse usage errors), 3 corrupt on-disk data, 4 worker failure,
-5 job-service failure, 1 any other structured failure, 130 interrupted.
+1 any other structured failure, 130 interrupted.
 Every structured failure prints a one-line message instead of a
 traceback.
 
@@ -91,7 +87,6 @@ _COMMON_DEFAULTS = {
     "nprocs": 16,
     "paper_scale": False,
     "jobs": 1,
-    "replay_jobs": 0,
     "trace_compression": "none",
     "cache_dir": None,
     "resume": True,
@@ -110,10 +105,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="the paper's Table 1 sizes")
     parser.add_argument("--jobs", type=int, default=S, metavar="N",
                         help="worker processes for trace generation (default 1)")
-    parser.add_argument("--replay-jobs", type=int, default=S, metavar="N",
-                        help="worker processes for machine-model replay of"
-                             " cached traces (default 0: replay in-process);"
-                             " requires --cache-dir")
     parser.add_argument("--trace-compression", default=S,
                         choices=["none", "zlib", "lz4"],
                         help="on-disk codec for cached traces (default none:"
@@ -154,22 +145,20 @@ def _install_runtime(args) -> None:
                 jobs=max(1, args.jobs), task_timeout=args.task_timeout
             ),
             resume=args.resume,
-            replay_jobs=max(0, args.replay_jobs) or None,
             trace_compression=args.trace_compression,
         )
     )
-    for name in ("repro.runtime", "repro.service"):
-        logger = logging.getLogger(name)
-        logger.setLevel(logging.WARNING if args.quiet else logging.INFO)
-        existing = [h for h in logger.handlers
-                    if getattr(h, "name", "") == "repro-cli"]
-        if existing:
-            existing[0].stream = sys.stderr  # rebind: stderr may be redirected
-        else:
-            handler = logging.StreamHandler(sys.stderr)
-            handler.set_name("repro-cli")
-            handler.setFormatter(logging.Formatter("[repro] %(message)s"))
-            logger.addHandler(handler)
+    logger = logging.getLogger("repro.runtime")
+    logger.setLevel(logging.WARNING if args.quiet else logging.INFO)
+    existing = [h for h in logger.handlers
+                if getattr(h, "name", "") == "repro-cli"]
+    if existing:
+        existing[0].stream = sys.stderr  # rebind: stderr may be redirected
+    else:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.set_name("repro-cli")
+        handler.setFormatter(logging.Formatter("[repro] %(message)s"))
+        logger.addHandler(handler)
 
 
 def _scale(args) -> Scale:
@@ -446,80 +435,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _service_address(args, state_dir: str | None = None) -> str:
-    if getattr(args, "socket", None):
-        return args.socket
-    env = os.environ.get("REPRO_SERVICE_SOCKET")
-    if env:
-        return env
-    base = state_dir or os.environ.get("REPRO_STATE_DIR") or "repro-service"
-    return os.path.join(base, "repro.sock")
-
-
-def _cmd_serve(args) -> int:
-    import asyncio
-
-    from .service import EngineConfig, SweepEngine, SweepServer
-
-    state_dir = (args.state_dir or os.environ.get("REPRO_STATE_DIR")
-                 or "repro-service")
-    address = _service_address(args, state_dir)
-    engine = SweepEngine(
-        state_dir,
-        config=EngineConfig(
-            lease_ttl=args.lease_ttl,
-            retry_budget=args.retry_budget,
-            task_timeout=args.task_timeout,
-            use_pool=not args.serial,
-        ),
-        cache_root=args.cache_dir or None,
-    )
-    server = SweepServer(engine, address, workers=max(1, args.workers))
-    print(f"[repro] sweep service on {address} (state: {state_dir};"
-          f" SIGTERM drains, SIGINT stops)", file=sys.stderr)
-    asyncio.run(server.serve_forever())
-    return 0
-
-
-def _cmd_submit(args) -> int:
-    from .service import ServiceClient
-
-    scale = _scale(args)
-    grid = _grid_from_args(args)
-    client = ServiceClient(_service_address(args))
-    client.ping()
-    job_id = client.submit(grid, scale)
-    print(f"submitted {job_id}")
-    if args.wait:
-        status = client.wait(job_id, timeout=args.wait_timeout)
-        rows = client.results(job_id)
-        print(_render_sweep_rows(
-            rows,
-            f"{job_id}: {len(rows)} point(s) from"
-            f" {status['groups']['total']} group(s)",
-        ))
-    return 0
-
-
-def _cmd_jobs(args) -> int:
-    from .service import ServiceClient
-
-    jobs = ServiceClient(_service_address(args)).jobs()
-    body = []
-    for info in jobs:
-        groups = info["groups"]
-        body.append([
-            info["job"], info["status"], groups["total"],
-            groups.get("done", 0), groups.get("pending", 0),
-            groups.get("quarantined", 0),
-        ])
-    print(render_table(
-        ["job", "status", "groups", "done", "pending", "quarantined"],
-        body, title=f"{len(jobs)} job(s)",
-    ))
-    return 0
-
-
 def _cmd_tune(args) -> int:
     from .experiments.tune import RecommendationLibrary, TuneSpec, tune
 
@@ -664,53 +579,6 @@ def main(argv: list[str] | None = None) -> int:
                           " sizes accept K/M suffixes; repeatable")
     _add_common(swp)
 
-    srv = sub.add_parser(
-        "serve",
-        help="durable sweep job service: journaled state, lease-based"
-             " workers, crash recovery",
-    )
-    srv.add_argument("--state-dir", default=None, metavar="DIR",
-                     help="journal + snapshot + result store (default:"
-                          " $REPRO_STATE_DIR or ./repro-service)")
-    srv.add_argument("--socket", default=None, metavar="ADDR",
-                     help="unix socket path, or host:port for TCP (default:"
-                          " $REPRO_SERVICE_SOCKET or <state-dir>/repro.sock)")
-    srv.add_argument("--workers", type=int, default=2,
-                     help="concurrent group workers (default 2)")
-    srv.add_argument("--serial", action="store_true",
-                     help="run groups in-process instead of worker processes")
-    srv.add_argument("--lease-ttl", type=float, default=60.0,
-                     metavar="SECONDS",
-                     help="heartbeat budget per leased group (default 60)")
-    srv.add_argument("--retry-budget", type=int, default=2, metavar="N",
-                     help="failed leases tolerated before a group is"
-                          " quarantined (default 2)")
-    _add_common(srv)
-
-    sbm = sub.add_parser(
-        "submit", help="submit a sweep grid to a running `repro serve`"
-    )
-    sbm.add_argument("app", nargs="+", choices=sorted(APP_REGISTRY))
-    sbm.add_argument("--version", action="append", dest="versions",
-                     choices=VERSION_CHOICES)
-    sbm.add_argument("--platform", action="append", dest="sweep_platforms",
-                     choices=["origin", "treadmarks", "hlrc"])
-    sbm.add_argument("--grid", action="append", default=[],
-                     metavar="AXIS=V1,V2,...",
-                     help="sweep axis (l2_bytes, line_size, page_size)")
-    sbm.add_argument("--socket", default=None, metavar="ADDR",
-                     help="server address (default: $REPRO_SERVICE_SOCKET"
-                          " or <$REPRO_STATE_DIR>/repro.sock)")
-    sbm.add_argument("--wait", action="store_true",
-                     help="block until the job finishes and print its rows")
-    sbm.add_argument("--wait-timeout", type=float, default=None,
-                     metavar="SECONDS")
-    _add_common(sbm)
-
-    jbs = sub.add_parser("jobs", help="list jobs on a running `repro serve`")
-    jbs.add_argument("--socket", default=None, metavar="ADDR")
-    _add_common(jbs)
-
     tun = sub.add_parser(
         "tune",
         help="select the best ordering per (app, machine, size) via the"
@@ -772,9 +640,6 @@ def main(argv: list[str] | None = None) -> int:
         "reproduce": _cmd_reproduce,
         "run": _cmd_run,
         "sweep": _cmd_sweep,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
-        "jobs": _cmd_jobs,
         "tune": _cmd_tune,
         "adaptive": _cmd_adaptive,
         "diagnose": _cmd_diagnose,

@@ -21,19 +21,15 @@ Hierarchy::
     ├── TraceCorruptError(ValueError)    unreadable/garbled trace file
     │   ├── TraceVersionError            wrong on-disk format version
     │   └── CacheMismatchError           cache entry does not match its key
-    ├── WorkerError                      fault-tolerant executor failures
-    │   ├── WorkerCrashError             worker died without a result
-    │   ├── WorkerTimeoutError(TimeoutError)
-    │   └── RetryExhaustedError          all attempts (and fallback) failed
-    └── ServiceError                     sweep job service failures
-        ├── JournalCorruptError(TraceCorruptError)
-        ├── LeaseError                   invalid lease claim/heartbeat
-        └── JobNotFoundError(KeyError)   unknown job id
+    └── WorkerError                      fault-tolerant executor failures
+        ├── WorkerCrashError             worker died without a result
+        ├── WorkerTimeoutError(TimeoutError)
+        └── RetryExhaustedError          all attempts (and fallback) failed
 
 The ``repro`` CLI maps these onto distinct exit codes
 (:func:`exit_code_for`): configuration errors exit 2, corrupt on-disk
-data exits 3, worker failures exit 4, service failures exit 5, and any
-other structured error exits 1.
+data exits 3, worker failures exit 4, and any other structured error
+exits 1.
 """
 
 from __future__ import annotations
@@ -52,15 +48,10 @@ __all__ = [
     "WorkerCrashError",
     "WorkerTimeoutError",
     "RetryExhaustedError",
-    "ServiceError",
-    "JournalCorruptError",
-    "LeaseError",
-    "JobNotFoundError",
     "EXIT_FAILURE",
     "EXIT_CONFIG",
     "EXIT_CORRUPT",
     "EXIT_WORKER",
-    "EXIT_SERVICE",
     "exit_code_for",
 ]
 
@@ -128,52 +119,20 @@ class RetryExhaustedError(WorkerError):
         self.last_error = last_error
 
 
-class ServiceError(ReproError):
-    """Base class for sweep job service failures (server, client, state)."""
-
-
-class JournalCorruptError(ServiceError, TraceCorruptError):
-    """The service journal or snapshot is damaged beyond safe recovery.
-
-    A torn *tail* (interrupted append) is self-healed by recovery and does
-    not raise; this error means damage that cannot be attributed to an
-    interrupted write, e.g. a checksum-mismatched snapshot.
-    """
-
-
-class LeaseError(ServiceError):
-    """A lease operation was invalid (double claim, foreign heartbeat)."""
-
-
-class JobNotFoundError(ServiceError, KeyError):
-    """A job id is unknown to the service."""
-
-    def __str__(self) -> str:  # KeyError quotes its repr; keep the message
-        return self.args[0] if self.args else ""
-
-
 # ---- CLI exit-code contract --------------------------------------------
 
 EXIT_FAILURE = 1   #: any other structured failure
 EXIT_CONFIG = 2    #: bad user-supplied configuration (also argparse usage)
-EXIT_CORRUPT = 3   #: corrupt on-disk data (traces, cache, journal)
+EXIT_CORRUPT = 3   #: corrupt on-disk data (traces, cache)
 EXIT_WORKER = 4    #: worker crash/timeout/retry exhaustion
-EXIT_SERVICE = 5   #: job-service failure (connect, protocol, lease, job)
 
 
 def exit_code_for(exc: BaseException) -> int:
-    """Map a structured error onto the CLI's exit-code contract.
-
-    Order matters: ``JournalCorruptError`` is both a ``ServiceError`` and
-    a ``TraceCorruptError`` — it reports as corrupt data, the more
-    actionable diagnosis.
-    """
+    """Map a structured error onto the CLI's exit-code contract."""
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG
     if isinstance(exc, TraceCorruptError):
         return EXIT_CORRUPT
     if isinstance(exc, WorkerError):
         return EXIT_WORKER
-    if isinstance(exc, ServiceError):
-        return EXIT_SERVICE
     return EXIT_FAILURE

@@ -10,13 +10,13 @@ re-layout must survive before the per-iteration locality benefit has paid
 back its reorder cost.
 
 Traces are generated by constructing the apps directly rather than through
-:func:`repro.experiments.runner.run_one` — the runner's memoization keys
-deliberately exclude ``extra`` knobs, and the policy lives in ``extra``.
-The reorder cost is measured *inside* the trace: every policy firing is a
-dedicated ``reorder`` epoch, so each simulator's ``phase_times["reorder"]``
-is that protocol's own price for the migrations (a full re-sort streams
-all n objects through processor 0; an incremental migration reads the
-movers' old slots and writes only the slots that change).
+:func:`repro.experiments.runner.run_one`, so each policy (which lives in
+``extra``) gets its own unmemoized trace.  The reorder cost is measured
+*inside* the trace: every policy firing is a dedicated ``reorder`` epoch,
+so each simulator's ``phase_times["reorder"]`` is that protocol's own
+price for the migrations (a full re-sort streams all n objects through
+processor 0; an incremental migration reads the movers' old slots and
+writes only the slots that change).
 """
 
 from __future__ import annotations

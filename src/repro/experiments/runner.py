@@ -33,8 +33,7 @@ from ..machines.params import (
     HardwareParams,
     origin2000_scaled,
 )
-from ..machines.replay import build_intervals_parallel, simulate_hardware_parallel
-from ..runtime.cache import CacheKey, format_version_for
+from ..runtime.cache import CacheKey, canonical_extra, format_version_for
 from ..runtime.context import get_runtime
 from ..runtime.executor import Task, run_tasks
 from ..runtime.worker import generate_trace_into_cache
@@ -246,6 +245,7 @@ def _cache_key_for(
         nprocs=nprocs,
         seed=scale.seed,
         format_version=format_version_for(compression),
+        extra=canonical_extra(scale.extra),
     )
 
 
@@ -253,14 +253,21 @@ def _trace_compression(rt) -> str:
     return getattr(rt, "trace_compression", "none") if rt is not None else "none"
 
 
-def _trace_for(name: str, version: str, scale: Scale, nprocs: int):
-    """Memoized trace for one cell; records its cache path when on disk.
+def _trace_key(name: str, version: str, scale: Scale, nprocs: int) -> tuple:
+    return ("trace", name, version, scale.n[name], scale.iterations[name],
+            nprocs, scale.seed, canonical_extra(scale.extra))
 
-    The on-disk path (stashed in the memo under a ``"tracepath"`` key) is
-    what lets the parallel replay backend attach workers to the same file
-    instead of pickling columns.
-    """
-    key = ("trace", name, version, scale.n[name], scale.iterations[name], nprocs, scale.seed)
+
+def _run_key(name: str, version: str, platform: str, scale: Scale) -> tuple:
+    return ("run", name, version, platform, scale.n[name],
+            scale.iterations[name], scale.nprocs, scale.seed, scale.hw_scale,
+            canonical_extra(scale.extra))
+
+
+def _trace_for(name: str, version: str, scale: Scale, nprocs: int):
+    """Memoized trace for one cell, read from or stored into the
+    persistent cache when a runtime with one is installed."""
+    key = _trace_key(name, version, scale, nprocs)
     if key in _cache:
         return _cache[key]
     rt = get_runtime()
@@ -272,7 +279,6 @@ def _trace_for(name: str, version: str, scale: Scale, nprocs: int):
             if trace is not None:
                 log.info("trace %s: cache hit", ck.filename())
                 _cache[key] = trace
-                _cache[("tracepath",) + key[1:]] = str(rt.cache.path(ck))
                 return trace
     started = time.perf_counter()
     app = make_app(name, scale.config(name, nprocs), version)
@@ -283,17 +289,8 @@ def _trace_for(name: str, version: str, scale: Scale, nprocs: int):
     )
     if ck is not None:
         rt.cache.store(ck, trace, compression=_trace_compression(rt))
-        _cache[("tracepath",) + key[1:]] = str(rt.cache.path(ck))
     _cache[key] = trace
     return trace
-
-
-def _trace_path_for(name: str, version: str, scale: Scale, nprocs: int) -> str | None:
-    """The on-disk cache path of a memoized trace, if it has one."""
-    return _cache.get(
-        ("tracepath", name, version, scale.n[name], scale.iterations[name],
-         nprocs, scale.seed)
-    )
 
 
 def _reorder_time(name: str, version: str, scale: Scale, cycle_time: float) -> float:
@@ -310,7 +307,8 @@ def _reorder_time(name: str, version: str, scale: Scale, cycle_time: float) -> f
 
 def _seq_time(name: str, platform: str, scale: Scale) -> float:
     """Single-processor original run time on the given platform."""
-    key = ("seq", name, platform, scale.n[name], scale.iterations[name], scale.seed)
+    key = ("seq", name, platform, scale.n[name], scale.iterations[name],
+           scale.seed, canonical_extra(scale.extra))
     if key not in _cache:
         trace = _trace_for(name, "original", scale, nprocs=1)
         if platform == "origin":
@@ -330,28 +328,17 @@ def _cell_record(
     scale: Scale,
     trace,
     seq_time: float,
-    trace_path: str | None = None,
 ) -> RunRecord:
     """Build one cell's record from an already-materialized trace.
 
     Pure function of its inputs — :func:`run_one` calls it with the
     memoized trace and baseline, executor workers
     (:func:`run_matrix_cell`) with cache-loaded ones; both paths produce
-    identical records.  When ``trace_path`` names the cell's on-disk
-    bundle and the installed runtime sets ``replay_jobs > 1``, the
-    machine models fan out across worker processes
-    (:mod:`repro.machines.replay`) — results are byte-identical either
-    way, so the record does not depend on which path ran.
+    identical records.
     """
-    rt = get_runtime()
-    replay_jobs = getattr(rt, "replay_jobs", None) if rt is not None else None
-    fan_out = trace_path is not None and replay_jobs is not None and replay_jobs > 1
     if platform == "origin":
         params = scale.hardware()
-        if fan_out:
-            res = simulate_hardware_parallel(trace_path, params, jobs=replay_jobs)
-        else:
-            res = simulate_hardware(trace, params)
+        res = simulate_hardware(trace, params)
         return RunRecord(
             app=name,
             version=version,
@@ -366,12 +353,6 @@ def _cell_record(
         )
     params = scale.cluster()
     sim = simulate_treadmarks if platform == "treadmarks" else simulate_hlrc
-    if fan_out:
-        # Pre-build the interval summaries across workers; the protocol
-        # model below finds them installed in the trace's decode memo.
-        build_intervals_parallel(
-            trace_path, params.page_size, jobs=replay_jobs, trace=trace
-        )
     res = sim(trace, params)
     return RunRecord(
         app=name,
@@ -395,14 +376,13 @@ def run_one(
         raise UnknownPlatformError(
             f"unknown platform {platform!r}; expected one of {PLATFORMS}"
         )
-    key = ("run", name, version, platform, scale.n[name], scale.iterations[name], scale.nprocs, scale.seed, scale.hw_scale)
+    key = _run_key(name, version, platform, scale)
     if key in _cache:
         return _cache[key]
     started = time.perf_counter()
     trace = _trace_for(name, version, scale, scale.nprocs)
     rec = _cell_record(
-        name, version, platform, scale, trace, _seq_time(name, platform, scale),
-        trace_path=_trace_path_for(name, version, scale, scale.nprocs),
+        name, version, platform, scale, trace, _seq_time(name, platform, scale)
     )
     _cache[key] = rec
     log.info(
@@ -468,10 +448,8 @@ def prefetch_traces(
     compression = _trace_compression(rt)
     tasks = []
     for name, version, nprocs in _matrix_trace_cells(apps, scale):
-        memo_key = ("trace", name, version, scale.n[name],
-                    scale.iterations[name], nprocs, scale.seed)
         ck = _cache_key_for(name, version, scale, nprocs, compression)
-        if memo_key in _cache:
+        if _trace_key(name, version, scale, nprocs) in _cache:
             continue
         if rt.resume and rt.cache.contains(ck):
             continue
@@ -480,7 +458,8 @@ def prefetch_traces(
                 key=ck.filename(),
                 fn=generate_trace_into_cache,
                 args=(str(rt.cache.root), name, version, scale.n[name],
-                      scale.iterations[name], nprocs, scale.seed, compression),
+                      scale.iterations[name], nprocs, scale.seed, compression,
+                      dict(scale.extra)),
             )
         )
     if not tasks:
@@ -520,8 +499,7 @@ def run_matrix_cell(
         trace = app.run()
         cache.store(ck, trace, compression=compression)
     records = [
-        _cell_record(name, version, p, scale, trace, seq_times[p],
-                     trace_path=str(cache.path(ck)))
+        _cell_record(name, version, p, scale, trace, seq_times[p])
         for p in platforms
     ]
     return records, (cache.hits, cache.misses)
@@ -548,8 +526,7 @@ def _run_cells_parallel(
             raise UnknownPlatformError(
                 f"unknown platform {platform!r}; expected one of {PLATFORMS}"
             )
-        key = ("run", name, version, platform, scale.n[name],
-               scale.iterations[name], scale.nprocs, scale.seed, scale.hw_scale)
+        key = _run_key(name, version, platform, scale)
         if key in _cache:
             records[i] = _cache[key]
             continue
@@ -577,7 +554,7 @@ def _run_cells_parallel(
                     fn=generate_trace_into_cache,
                     args=(str(rt.cache.root), name, version, scale.n[name],
                           scale.iterations[name], nprocs, scale.seed,
-                          compression),
+                          compression, dict(scale.extra)),
                 ))
         if tasks:
             log.info("prefetch: generating %d trace(s) with %d job(s)",
@@ -585,12 +562,15 @@ def _run_cells_parallel(
             run_tasks(tasks, rt.executor, fault_plan=rt.fault_plan)
 
         tasks = []
-        for gkey, g in groups.items():
+        for j, g in enumerate(groups.values()):
             name, scale = g["name"], g["scale"]
             platforms = tuple(dict.fromkeys(p for _, p, _ in g["cells"]))
             seq_times = {p: _seq_time(name, p, scale) for p in platforms}
             g["platforms"] = platforms
-            g["task_key"] = f"cells_{name}_{g['version']}_p{scale.nprocs}_n{scale.n[name]}"
+            # The index keeps groups that differ only in seed, hw_scale or
+            # app knobs apart in the results.
+            g["task_key"] = (f"cells_{name}_{g['version']}_p{scale.nprocs}"
+                             f"_n{scale.n[name]}_{j}")
             tasks.append(Task(
                 key=g["task_key"],
                 fn=run_matrix_cell,

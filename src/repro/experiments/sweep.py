@@ -33,12 +33,12 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..apps import APP_REGISTRY
 from ..errors import ConfigError, UnknownAppError, UnknownPlatformError
-from ..runtime.cache import atomic_write_text
+from ..runtime.cache import atomic_write_text, canonical_extra
 from ..runtime.context import get_runtime
 from ..runtime.executor import Task, run_tasks
 from ..runtime.worker import generate_trace_into_cache
@@ -55,8 +55,6 @@ __all__ = [
     "SweepGrid",
     "SweepGroup",
     "SweepPlan",
-    "grid_from_dict",
-    "grid_to_dict",
     "load_group_checkpoint",
     "parse_grid",
     "run_sweep_group",
@@ -126,44 +124,14 @@ class SweepGrid:
             object.__setattr__(self, name, _as_sizes(name, getattr(self, name)))
 
 
-def grid_to_dict(grid: SweepGrid) -> dict:
-    """JSON-safe grid spec for the job-service protocol and journal."""
-    return asdict(grid)
-
-
-def grid_from_dict(data: dict) -> SweepGrid:
-    """Rebuild a validated :class:`SweepGrid` from :func:`grid_to_dict`.
-
-    Raises :class:`repro.errors.ConfigError` (via the SweepGrid
-    constructor) on bad axes, unknown apps, or unknown platforms — the
-    service returns these to the submitting client verbatim.
-    """
-    def names(field_name, default=None):
-        v = data.get(field_name, default)
-        return None if v is None else tuple(str(x) for x in v)
-
-    def axis(field_name):
-        v = data.get(field_name)
-        return None if v is None else tuple(v)
-
-    return SweepGrid(
-        apps=names("apps", ("barnes-hut",)),
-        versions=names("versions"),
-        platforms=names("platforms", ("origin",)),
-        l2_bytes=axis("l2_bytes"),
-        line_sizes=axis("line_sizes"),
-        page_sizes=axis("page_sizes"),
-    )
-
-
 # ---- group checkpoints -------------------------------------------------
 #
 # A completed group's rows persist as ``sweeps/<group-key>.json`` under
-# the cache root.  Both the ``--resume`` path here and the job service
-# treat these files as the source of result truth, so reads are
-# *validated*: a torn or garbled checkpoint is moved aside (to
-# ``sweeps/quarantine/``) and reported as missing, which makes resume
-# regenerate exactly the damaged group and nothing else.
+# the cache root.  The ``--resume`` path treats these files as the
+# source of result truth, so reads are *validated*: a torn or garbled
+# checkpoint is moved aside (to ``sweeps/quarantine/``) and reported as
+# missing, which makes resume regenerate exactly the damaged group and
+# nothing else.
 
 
 def write_group_checkpoint(path: Path, rows: list[dict]) -> None:
@@ -242,28 +210,12 @@ class SweepGroup:
                 "nprocs": scale.nprocs,
                 "seed": scale.seed,
                 "hw_scale": scale.hw_scale,
+                "extra": canonical_extra(scale.extra),
             },
             sort_keys=True,
         )
         digest = hashlib.sha1(blob.encode()).hexdigest()[:10]
         return f"{self.app}_{self.version}_{self.platform}_{digest}"
-
-    def to_dict(self) -> dict:
-        """JSON-safe spec (tuples become lists; inverse of from_dict)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepGroup":
-        def axis(name):
-            v = data.get(name)
-            return None if v is None else tuple(int(x) for x in v)
-
-        return cls(
-            app=data["app"], version=data["version"],
-            platform=data["platform"],
-            l2_bytes=axis("l2_bytes"), line_sizes=axis("line_sizes"),
-            page_sizes=axis("page_sizes"),
-        )
 
 
 def _group_rows(trace, group: SweepGroup, scale: Scale) -> list[dict]:
@@ -440,7 +392,8 @@ class SweepPlan:
                 fn=generate_trace_into_cache,
                 args=(str(rt.cache.root), g.app, g.version,
                       self.scale.n[g.app], self.scale.iterations[g.app],
-                      self.scale.nprocs, self.scale.seed, compression),
+                      self.scale.nprocs, self.scale.seed, compression,
+                      dict(self.scale.extra)),
             ))
         if tasks:
             log.info("sweep prefetch: generating %d trace(s)", len(tasks))

@@ -2,9 +2,10 @@
 
 Layered under the experiment runner's in-process memoization: every trace
 is keyed by the full tuple that determines it — ``(app, version, n,
-iterations, nprocs, seed)`` plus the on-disk format version — so an
-interrupted paper-scale run resumes from the cells that already finished,
-and a cache populated at one scale can never satisfy another.
+iterations, nprocs, seed)``, the app knobs in ``Scale.extra`` that change
+the trace, plus the on-disk format version — so an interrupted
+paper-scale run resumes from the cells that already finished, and a cache
+populated at one scale or with one set of knobs can never satisfy another.
 
 Layout (all inside the cache root)::
 
@@ -30,6 +31,7 @@ entry or a complete one.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -47,14 +49,42 @@ from ..trace.io import (
     save_trace,
 )
 
-__all__ = ["CacheKey", "TraceCache", "atomic_write_text", "format_version_for"]
+__all__ = [
+    "CacheKey",
+    "TraceCache",
+    "atomic_write_text",
+    "canonical_extra",
+    "format_version_for",
+]
 
 log = logging.getLogger("repro.runtime")
+
+#: App knobs whose every setting yields a byte-identical trace, so keys
+#: leave them out: the numerics ``engine`` and the ``emit`` path.
+BYTE_IDENTICAL_KNOBS = ("engine", "emit")
+
+
+def canonical_extra(extra: dict) -> tuple[tuple[str, str], ...]:
+    """The part of an ``AppConfig.extra`` dict that keys a trace.
+
+    Sorted ``(name, repr(value))`` pairs, minus the
+    :data:`BYTE_IDENTICAL_KNOBS`; hashable, so it can sit in memo keys.
+    """
+    return tuple(sorted(
+        (str(k), repr(v)) for k, v in extra.items()
+        if k not in BYTE_IDENTICAL_KNOBS
+    ))
 
 
 @dataclass(frozen=True)
 class CacheKey:
-    """Everything that determines a trace's content, plus the file format."""
+    """Everything that determines a trace's content, plus the file format.
+
+    ``extra`` is :func:`canonical_extra` of the app knobs.  A non-empty
+    one adds an ``_x<digest>`` filename part and an ``extra`` sidecar
+    entry; an empty one adds neither, so knob-free entries keep their
+    names and sidecars.
+    """
 
     app: str
     version: str
@@ -63,15 +93,26 @@ class CacheKey:
     nprocs: int
     seed: int
     format_version: int = _FORMAT_VERSION
+    extra: tuple[tuple[str, str], ...] = ()
 
     def filename(self) -> str:
+        knobs = ""
+        if self.extra:
+            digest = hashlib.sha1(json.dumps(self.extra).encode()).hexdigest()
+            knobs = f"_x{digest[:10]}"
         return (
             f"{self.app}__{self.version}__n{self.n}_i{self.iterations}"
-            f"_p{self.nprocs}_s{self.seed}_fv{self.format_version}{TRACE_SUFFIX}"
+            f"_p{self.nprocs}_s{self.seed}{knobs}_fv{self.format_version}"
+            f"{TRACE_SUFFIX}"
         )
 
     def meta(self) -> dict:
-        return asdict(self)
+        """The sidecar record, in its JSON round-trip form."""
+        meta = asdict(self)
+        del meta["extra"]
+        if self.extra:
+            meta["extra"] = [list(kv) for kv in self.extra]
+        return meta
 
 
 def format_version_for(compression: str) -> int:
@@ -88,8 +129,8 @@ def atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` via temp file + ``os.replace``.
 
     A crash mid-write leaves either the old content or the new, never a
-    torn file.  Shared by the cache sidecars, sweep checkpoints, and the
-    service's snapshot/quarantine files.
+    torn file.  Shared by the cache sidecars, sweep checkpoints, and
+    quarantine reason files.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",

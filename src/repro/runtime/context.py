@@ -30,15 +30,6 @@ class RuntimeContext:
     ``executor.jobs > 1`` enables parallel trace prefetch in
     :func:`repro.experiments.runner.prefetch_traces`.
 
-    ``replay_jobs > 1`` additionally fans the *machine models* out: the
-    Origin replay runs through
-    :func:`repro.machines.replay.simulate_hardware_parallel` and the DSM
-    interval build through
-    :func:`repro.machines.replay.build_intervals_parallel`, both attaching
-    to the cached ``.npt`` by path (zero-copy mapped pages, byte-identical
-    results).  It only applies to cells whose trace is on disk — cells
-    generated in-process replay serially.
-
     ``trace_compression`` selects the on-disk codec for cache stores:
     ``"none"`` writes mmap-friendly v2 bundles, ``"zlib"``/``"lz4"`` write
     chunked compressed v3 bundles (~10-50x smaller, lazily decoded).
@@ -50,7 +41,6 @@ class RuntimeContext:
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
     resume: bool = True
     fault_plan: FaultPlan | None = None
-    replay_jobs: int | None = None
     trace_compression: str = "none"
 
 

@@ -17,22 +17,6 @@ degradation paths:
   the payload), :func:`corrupt_header` (structurally intact container,
   unparseable JSON header), and :func:`write_with_version` (a well-formed
   file claiming a different format version).
-
-* **service faults** — :class:`FaultPlan` fields consumed by
-  :mod:`repro.service`: ``worker`` doubles as "kill the worker holding a
-  group's lease" (keyed by group key, indexed by lease attempt);
-  ``torn_journal_appends`` tears the journal append with that sequence
-  number mid-write and raises :class:`InjectedServiceCrash` (a modelled
-  server crash — the chaos harness restarts the engine and recovery must
-  truncate the torn tail); ``corrupt_checkpoints`` garbles a group's
-  ``sweeps/*.json`` checkpoint right after it is written (silent damage
-  that only the next recovery can notice); ``delayed_heartbeats`` maps a
-  group key to the lease attempt whose heartbeat is suppressed, so the
-  lease expires under a healthy worker and its late result arrives stale.
-
-Service faults are *incarnation-scoped*: a chaos script passes each
-engine incarnation its own plan slice, so a fault fires exactly once even
-though the replayed journal re-runs the same logical operations.
 """
 
 from __future__ import annotations
@@ -48,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "FaultPlan",
-    "InjectedServiceCrash",
     "WORKER_FAULT_KINDS",
     "inject_worker_fault",
     "truncate_file",
@@ -63,16 +46,6 @@ WORKER_FAULT_KINDS = ("crash", "hang", "error")
 CRASH_EXIT_CODE = 23
 
 
-class InjectedServiceCrash(BaseException):
-    """A modelled server crash raised by a service-level fault.
-
-    Derives from ``BaseException`` (like ``KeyboardInterrupt``) so that no
-    ordinary ``except Exception`` retry loop can swallow it — the chaos
-    harness alone catches it and restarts the engine, exactly as a real
-    crash would force a restart.
-    """
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """A deterministic schedule of injected failures.
@@ -85,13 +58,6 @@ class FaultPlan:
 
     worker: Mapping[str, Sequence[str | None]] = field(default_factory=dict)
     interrupt_after: int | None = None
-    #: Journal sequence numbers whose append is torn mid-write; the tear
-    #: raises :class:`InjectedServiceCrash` (the server "died" mid-append).
-    torn_journal_appends: tuple[int, ...] = ()
-    #: Group keys whose checkpoint file is garbled right after writing.
-    corrupt_checkpoints: tuple[str, ...] = ()
-    #: Group key -> lease attempt (1-based) whose heartbeat is suppressed.
-    delayed_heartbeats: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for key, seq in self.worker.items():
@@ -101,18 +67,6 @@ class FaultPlan:
                         f"unknown worker fault {kind!r} for task {key!r};"
                         f" expected one of {WORKER_FAULT_KINDS}"
                     )
-        for seq in self.torn_journal_appends:
-            if not isinstance(seq, int) or seq < 1:
-                raise ValueError(
-                    f"torn_journal_appends entries must be positive journal"
-                    f" sequence numbers, got {seq!r}"
-                )
-        for key, attempt in self.delayed_heartbeats.items():
-            if not isinstance(attempt, int) or attempt < 1:
-                raise ValueError(
-                    f"delayed_heartbeats[{key!r}] must be a 1-based lease"
-                    f" attempt, got {attempt!r}"
-                )
 
     def worker_fault(self, key: str, attempt: int) -> str | None:
         """Fault to inject for ``key``'s ``attempt``-th try (1-based)."""
@@ -120,19 +74,6 @@ class FaultPlan:
         if seq is None or attempt > len(seq):
             return None
         return seq[attempt - 1]
-
-    # ---- service-level fault queries ----------------------------------
-    def journal_torn(self, seq: int) -> bool:
-        """Whether the append of journal record ``seq`` should tear."""
-        return seq in self.torn_journal_appends
-
-    def checkpoint_corrupt(self, key: str) -> bool:
-        """Whether ``key``'s checkpoint should be garbled after writing."""
-        return key in self.corrupt_checkpoints
-
-    def heartbeat_delayed(self, key: str, attempt: int) -> bool:
-        """Whether ``key``'s lease ``attempt`` loses its heartbeats."""
-        return self.delayed_heartbeats.get(key) == attempt
 
 
 def inject_worker_fault(kind: str, *, in_process: bool = False) -> None:

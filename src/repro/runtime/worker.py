@@ -23,27 +23,32 @@ def generate_trace_into_cache(
     nprocs: int,
     seed: int,
     compression: str = "none",
+    extra: dict | None = None,
 ) -> str:
     """Generate one (app, version, nprocs) trace and persist it.
 
     ``compression`` selects the cache entry's on-disk codec (chunked v3
     bundles for ``"zlib"``/``"lz4"``); the cache key's format version
     follows the codec, so compressed and uncompressed entries coexist.
+    ``extra`` is the run's ``Scale.extra``: it reaches the app and the key.
 
     Imports happen inside the function so the module stays picklable and
     cheap to import in spawn-started workers.
     """
     from ..apps import AppConfig
     from ..experiments.runner import make_app
-    from .cache import CacheKey, TraceCache, format_version_for
+    from .cache import CacheKey, TraceCache, canonical_extra, format_version_for
 
+    extra = dict(extra or {})
     cache = TraceCache(cache_root)
     key = CacheKey(app=app, version=version, n=n, iterations=iterations,
                    nprocs=nprocs, seed=seed,
-                   format_version=format_version_for(compression))
+                   format_version=format_version_for(compression),
+                   extra=canonical_extra(extra))
     if cache.load(key) is not None:
         return key.filename()  # another worker (or a prior run) got here first
-    config = AppConfig(n=n, nprocs=nprocs, iterations=iterations, seed=seed)
+    config = AppConfig(n=n, nprocs=nprocs, iterations=iterations, seed=seed,
+                       extra=extra)
     application = make_app(app, config, version)
     cache.store(key, application.run(), compression=compression)
     return key.filename()

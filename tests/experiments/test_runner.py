@@ -169,6 +169,32 @@ class TestRunOne:
         with pytest.raises(ValueError, match="unknown platform"):
             run_one("moldyn", "original", "mars", tiny)
 
+    def test_memo_keys_on_scale_extra(self, tiny):
+        """A cell run with different app knobs is a different cell: the
+        memo must not hand back the knob-free record (2892 messages where
+        a fresh process computes 3040)."""
+        from dataclasses import replace
+
+        adapted = replace(
+            tiny, extra={"adapt_policy": "every", "adapt_every": 1}
+        )
+        plain = run_one("moldyn", "hilbert", "treadmarks", tiny)
+        stale = run_one("moldyn", "hilbert", "treadmarks", adapted)
+        clear_cache()
+        fresh = run_one("moldyn", "hilbert", "treadmarks", adapted)
+        assert plain.messages == 2892
+        assert fresh.messages == 3040
+        assert stale.messages == fresh.messages
+        assert stale.data_mbytes == fresh.data_mbytes
+
+    def test_byte_identical_knobs_share_the_memo(self, tiny):
+        from dataclasses import replace
+
+        a = run_one("moldyn", "original", "origin", tiny)
+        b = run_one("moldyn", "original", "origin",
+                    replace(tiny, extra={"engine": "loop", "emit": "loop"}))
+        assert a is b
+
 
 class TestRunSuite:
     def test_one_app_all_platforms(self, tiny):

@@ -53,6 +53,27 @@ class TestRoundtrip:
         cache.store(KEY, make_trace())
         assert cache.load(other) is None  # different n: a miss, not a hit
 
+    def test_app_knobs_key_the_entry(self, cache):
+        from dataclasses import replace
+
+        from repro.experiments.runner import Scale, _cache_key_for
+
+        scale = Scale.tiny()
+        plain = _cache_key_for("moldyn", "hilbert", scale, 16)
+        # Byte-identical knobs leave the key (and old filenames) alone.
+        same = _cache_key_for(
+            "moldyn", "hilbert", replace(scale, extra={"engine": "loop"}), 16
+        )
+        assert same == plain and "_x" not in plain.filename()
+        knobbed = _cache_key_for(
+            "moldyn", "hilbert", replace(scale, extra={"adapt_every": 1}), 16
+        )
+        assert knobbed.filename() != plain.filename()
+        cache.store(knobbed, make_trace())
+        assert cache.load(plain) is None
+        assert cache.load(knobbed) is not None  # sidecar round-trips
+        assert cache.quarantined == 0
+
     def test_store_is_atomic_no_temp_debris(self, cache):
         cache.store(KEY, make_trace())
         leftovers = [p for p in cache.root.iterdir() if p.suffix == ".tmp"]

@@ -240,3 +240,51 @@ class TestCorruption:
         path.write_bytes(bytes(blob))
         with pytest.raises(TraceCorruptError):
             load_trace(path)
+
+
+@pytest.fixture(scope="module")
+def app_trace_file(tmp_path_factory):
+    from repro.apps import APP_REGISTRY, AppConfig
+
+    app = APP_REGISTRY["moldyn"](AppConfig(n=384, nprocs=8, iterations=2, seed=3))
+    app.reorder("hilbert")
+    path = tmp_path_factory.mktemp("zerocopy") / "t.npt"
+    save_trace(app.run(), path)
+    return path
+
+
+def _probe_column_sharing(trace_path):
+    """Worker probe: are the index columns views over the mapped file?"""
+    trace = load_trace(trace_path, mmap=True, validate=False)
+    idx = np.asarray(trace.epochs[0].index)
+    base = idx
+    while getattr(base, "base", None) is not None:
+        base = base.base
+    return {
+        "owndata": bool(idx.flags["OWNDATA"]),
+        "base_type": type(base).__name__,
+    }
+
+
+class TestZeroCopy:
+    """Executor workers (``run_matrix_cell``, ``run_sweep_group``) mmap-load
+    cached bundles: their columns are views over the file, not copies."""
+
+    def test_worker_columns_are_mmap_views(self, app_trace_file):
+        from repro.runtime.executor import ExecutorConfig, Task, run_tasks
+
+        tasks = [Task(key="probe", fn=_probe_column_sharing,
+                      args=(str(app_trace_file),))]
+        out = run_tasks(tasks, ExecutorConfig(jobs=2, task_timeout=None))["probe"]
+        assert out["owndata"] is False
+        # The view chain bottoms out at the mapped file (np.memmap, whose
+        # own buffer is an mmap.mmap) — never a heap-allocated copy.
+        assert out["base_type"] in ("memmap", "mmap")
+
+    def test_no_index_widening_on_load(self, app_trace_file):
+        """int32 disk columns stay narrow — the premise of page sharing."""
+        trace = load_trace(app_trace_file)
+        for epoch in trace.epochs:
+            idx = np.asarray(epoch.index)
+            assert idx.dtype in (np.dtype(np.int32), np.dtype(np.int64))
+            assert not idx.flags["OWNDATA"]

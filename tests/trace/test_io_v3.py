@@ -103,6 +103,32 @@ class TestRoundtrip:
         assert np.array_equal(a.cold_misses, b.cold_misses)
         assert a.time == b.time
 
+    def test_app_trace_replay_counters_match_v2(self, tmp_path):
+        """Every Origin counter of an app trace replays identically from
+        a v3 bundle and from its v2 original."""
+        from repro.apps import APP_REGISTRY, AppConfig
+        from repro.machines.hardware import simulate_hardware
+        from repro.machines.params import HardwareParams
+
+        app = APP_REGISTRY["moldyn"](
+            AppConfig(n=384, nprocs=8, iterations=2, seed=3)
+        )
+        app.reorder("hilbert")
+        t = app.run()
+        p2, p3 = tmp_path / "v2.npt", tmp_path / "v3.npt"
+        save_trace(t, p2)
+        save_trace(t, p3, compression="zlib")
+        params = HardwareParams()
+        a = simulate_hardware(load_trace(p2), params)
+        b = simulate_hardware(load_trace(p3), params)
+        for name in ("l2_misses", "tlb_misses", "invalidations", "work",
+                     "lock_acquires", "cold_misses", "coherence_misses",
+                     "capacity_misses", "classification_overcount"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.time == b.time
+        assert a.phase_times == b.phase_times
+        assert a.barriers == b.barriers and a.nprocs == b.nprocs
+
     def test_compression_ratio_floor(self, tmp_path):
         """The acceptance floor: compressed at most 1/10 of uncompressed."""
         t = make_trace(nprocs=8, nobj=4096, epochs=6)
