@@ -29,7 +29,7 @@ from repro.machines import (
 from repro.machines import cache as cache_mod
 from repro.machines import hardware as hw
 from repro.machines.params import origin2000_scaled
-from repro.trace.layout import Layout
+from repro.trace.layout import Layout, decode_memo
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ def test_hlrc_replay_throughput(benchmark, trace):
 
 
 def _decode_streams(trace, params, layout):
-    """Decode every (epoch, proc) burst list into line/page/written arrays.
+    """Decode every (epoch, proc) access stream into line/page/written arrays.
 
     This is the shared front end both engines pay inside
     ``simulate_hardware``; pre-extracting it isolates the cache *replay*
@@ -91,12 +91,14 @@ def _decode_streams(trace, params, layout):
     """
     shift = params.line_size.bit_length() - 1
     nlines = (layout.total_bytes >> shift) + 1
+    memo = decode_memo(trace)
     streams = []
-    for epoch in trace.epochs:
+    for ei, epoch in enumerate(trace.epochs):
+        decoded = memo.epoch(layout, params.line_size, ei)
         streams.append(
             [
                 hw._proc_streams(
-                    epoch, layout, params.line_size, params.page_size, p, nlines
+                    epoch, decoded, p, params.line_size, params.page_size, nlines
                 )
                 for p in range(trace.nprocs)
             ]
@@ -178,6 +180,7 @@ def test_kernel_replay_speedup(emit):
     try:
         for eng in ("kernel", "loop"):
             cache_mod.DEFAULT_ENGINE = eng
+            decode_memo(trace).clear()  # each engine pays the decode
             t0 = time.perf_counter()
             simulate_hardware(trace, params, layout=layout)
             e2e[eng] = time.perf_counter() - t0

@@ -137,34 +137,18 @@ class BarnesHut(Application):
     # -- trace emission ----------------------------------------------------
 
     def _emit_forces(self, tb, csr, parts, cost, bodies, cells, max_cells) -> None:
-        """Stage the force-phase access pattern (loop or ragged mode).
+        """Stage the force-phase access pattern, one ragged call per processor.
 
-        Both modes consume the same rank-sorted CSR interaction streams:
-        row ``j`` of the CSR covers the body at in-order position ``j``, so
-        each processor's bursts are a contiguous slice.  The loop mode is
-        the original per-object staging — four builder calls per body; the
-        ragged mode stages the same four lanes (cell reads, direct-body
-        reads, self read, self write) of a whole partition in one call and
-        produces a byte-identical trace.
+        Row ``j`` of the rank-sorted CSR interaction streams covers the body
+        at in-order position ``j``, so each processor's bursts are a
+        contiguous slice.  Per body the four lanes are cell reads,
+        direct-body reads, self read and self write.
         """
         P = self.nprocs
         ci, cbounds, do, dbounds = csr
         sizes = np.array([parts[p].shape[0] for p in range(P)], dtype=np.int64)
         pb = np.zeros(P + 1, dtype=np.int64)
         np.cumsum(sizes, out=pb[1:])
-        if self.emit_mode == "loop":
-            for p in range(P):
-                for j, b in zip(range(pb[p], pb[p + 1]), parts[p].tolist()):
-                    cs, ce = cbounds[j], cbounds[j + 1]
-                    ds, de = dbounds[j], dbounds[j + 1]
-                    if ce > cs:
-                        tb.read(p, cells, np.minimum(ci[cs:ce], max_cells - 1))
-                    if de > ds:
-                        tb.read(p, bodies, do[ds:de])
-                    tb.read(p, bodies, np.array([b]))
-                    tb.write(p, bodies, np.array([b]))
-                tb.work(p, float(cost[parts[p]].sum()))
-            return
         ci = np.minimum(ci, max_cells - 1)
         for p in range(P):
             lo, hi = pb[p], pb[p + 1]
@@ -233,11 +217,11 @@ class BarnesHut(Application):
                 self.emit_seconds += perf_counter() - t0
 
             # 3. Force evaluation.  The per-body CSR interaction streams
-            # are the access pattern itself — every emit mode computes
-            # them; the modes differ only in how they are staged.  The
-            # loop engine is the paper's formulation — one recursive walk
-            # and force fold per particle; the batch engine runs the
-            # vectorized frontier walk and column-wise bincount forces.
+            # are the access pattern itself, computed even when emission
+            # is off.  The loop engine is the paper's formulation — one
+            # recursive walk and force fold per particle; the batch engine
+            # runs the vectorized frontier walk and column-wise bincount
+            # forces.
             # Both produce bitwise-identical accelerations, costs, and
             # interaction streams (tests/apps/test_numerics.py).
             order = np.concatenate(parts) if P > 1 else parts[0]

@@ -53,11 +53,10 @@ __all__ = [
 
 #: Trace emission modes an application accepts via ``config.extra["emit"]``:
 #: ``"ragged"`` (default) builds CSR columns and stages them through
-#: ``TraceBuilder.emit_ragged``; ``"loop"`` keeps the per-object emit loops
-#: (the reference the ragged path must match byte-for-byte); ``"none"``
-#: skips trace emission entirely — physics only, which is how the
-#: generation benchmark isolates emission cost.
-EMIT_MODES = ("ragged", "loop", "none")
+#: ``TraceBuilder.emit_ragged``; ``"none"`` skips trace emission entirely —
+#: physics only, which is how the generation benchmark isolates emission
+#: cost.
+EMIT_MODES = ("ragged", "none")
 
 #: Physics-engine selectors an application accepts via
 #: ``config.extra["engine"]``, mirroring ``repro.machines.kernels``:
@@ -398,12 +397,12 @@ class Application(ABC):
         #: Physics engine ("loop" or "batch", resolved from
         #: ``extra["engine"]``; default "auto" = "batch").  Orthogonal to
         #: ``emit_mode``: the engine decides how the physics is computed,
-        #: the emit mode how the resulting access streams are staged.
+        #: the emit mode whether the resulting access streams are staged.
         self.engine = resolve_engine(str(config.extra.get("engine", "auto")))
         #: Seconds the last :meth:`run` spent staging and sealing trace
         #: events (builder calls + barriers), excluding the physics.  Apps
         #: accumulate it around their emission blocks; the generation
-        #: benchmark compares it across emit modes.  ``seal_seconds`` is
+        #: benchmark measures it.  ``seal_seconds`` is
         #: the portion spent inside epoch sealing (copied from the
         #: builder), so ``emit_seconds - seal_seconds`` is the pure staging
         #: cost of the emit path.

@@ -202,7 +202,6 @@ class FMM(Application):
         cells_r = tb.add_region("cells", self.ncells, CELL_BYTES)
         binom = self._binom
         emit = self.emit_mode != "none"
-        ragged = self.emit_mode == "ragged"
         batch = self.engine == "batch"
         self.emit_seconds = 0.0
         self.physics_seconds = 0.0
@@ -234,11 +233,6 @@ class FMM(Application):
 
             def gather(rms: np.ndarray) -> np.ndarray:
                 """Members of the row-major leaves ``rms``, concatenated."""
-                if not ragged:
-                    return np.concatenate(
-                        [members(rm) for rm in rms.tolist()]
-                        or [np.empty(0, np.int64)]
-                    )
                 return ragged_take(sort_order, starts_m[rank_L[rms]], counts[rms])
 
             with self._phys("partition"):
@@ -314,26 +308,17 @@ class FMM(Application):
             if emit:
                 t0 = perf_counter()
                 for pidx in range(P):
-                    if ragged:
-                        occ = parts[pidx][counts[parts[pidx]] > 0]
-                        if occ.shape[0]:
-                            tb.emit_ragged(
-                                pidx,
-                                [
-                                    (particles, False, gather(occ),
-                                     counts_to_offsets(counts[occ])),
-                                    (cells_r, True,
-                                     self._cell_id(L, occ % side, occ // side), 1),
-                                ],
-                            )
-                    else:
-                        for rm in parts[pidx].tolist():
-                            mem = members(rm)
-                            if mem.shape[0] == 0:
-                                continue
-                            cid = int(self._cell_id(L, np.array([rm % side]), np.array([rm // side]))[0])
-                            tb.read(pidx, particles, mem)
-                            tb.write(pidx, cells_r, np.array([cid]))
+                    occ = parts[pidx][counts[parts[pidx]] > 0]
+                    if occ.shape[0]:
+                        tb.emit_ragged(
+                            pidx,
+                            [
+                                (particles, False, gather(occ),
+                                 counts_to_offsets(counts[occ])),
+                                (cells_r, True,
+                                 self._cell_id(L, occ % side, occ // side), 1),
+                            ],
+                        )
                     tb.work(pidx, EXPANSION_WORK * float(counts[parts[pidx]].sum()) * (p + 1))
                 self.emit_seconds += perf_counter() - t0
 
@@ -425,39 +410,22 @@ class FMM(Application):
                     if mine_rm.shape[0] == 0:
                         continue
                     mine_rm = mine_rm[np.argsort(self._morton_rank[l][mine_rm])]
-                    if ragged:
-                        tix, tiy = mine_rm % sidel, mine_rm // sidel
-                        offs = self._v_off_table[tix % 2, tiy % 2]
-                        sx = tix[:, None] + offs[:, :, 0]
-                        sy = tiy[:, None] + offs[:, :, 1]
-                        ok = (sx >= 0) & (sx < sidel) & (sy >= 0) & (sy < sidel)
-                        vcnt = ok.sum(axis=1)
-                        kept = vcnt > 0
-                        tb.emit_ragged(
-                            pidx,
-                            [
-                                (cells_r, False, self._cell_id(l, sx[ok], sy[ok]),
-                                 counts_to_offsets(vcnt[kept])),
-                                (cells_r, True,
-                                 self._cell_id(l, tix[kept], tiy[kept]), 1),
-                            ],
-                        )
-                    else:
-                        for rm in mine_rm.tolist():
-                            tix, tiy = rm % sidel, rm // sidel
-                            offs = self._v_offsets(tix % 2, tiy % 2)
-                            sx = np.array([tix + dx for dx, _ in offs])
-                            sy = np.array([tiy + dy for _, dy in offs])
-                            ok = (sx >= 0) & (sx < sidel) & (sy >= 0) & (sy < sidel)
-                            if not ok.any():
-                                continue
-                            sids = self._cell_id(l, sx[ok], sy[ok])
-                            tb.read(pidx, cells_r, sids)
-                            tb.write(
-                                pidx,
-                                cells_r,
-                                self._cell_id(l, np.array([tix]), np.array([tiy])),
-                            )
+                    tix, tiy = mine_rm % sidel, mine_rm // sidel
+                    offs = self._v_off_table[tix % 2, tiy % 2]
+                    sx = tix[:, None] + offs[:, :, 0]
+                    sy = tiy[:, None] + offs[:, :, 1]
+                    ok = (sx >= 0) & (sx < sidel) & (sy >= 0) & (sy < sidel)
+                    vcnt = ok.sum(axis=1)
+                    kept = vcnt > 0
+                    tb.emit_ragged(
+                        pidx,
+                        [
+                            (cells_r, False, self._cell_id(l, sx[ok], sy[ok]),
+                             counts_to_offsets(vcnt[kept])),
+                            (cells_r, True,
+                             self._cell_id(l, tix[kept], tiy[kept]), 1),
+                        ],
+                    )
                     tb.work(pidx, EXPANSION_WORK * float(vcount[mine_rm].sum()) * (p + 1) ** 2 / 4.0)
                 self.emit_seconds += perf_counter() - t0
 
@@ -521,29 +489,19 @@ class FMM(Application):
             if emit:
                 t0 = perf_counter()
                 for pidx in range(P):
-                    if ragged:
-                        occ = parts[pidx][counts[parts[pidx]] > 0]
-                        if occ.shape[0]:
-                            moffs = counts_to_offsets(counts[occ])
-                            mem_col = gather(occ)
-                            tb.emit_ragged(
-                                pidx,
-                                [
-                                    (cells_r, False,
-                                     self._cell_id(L, occ % side, occ // side), 1),
-                                    (particles, False, mem_col, moffs),
-                                    (particles, True, mem_col, moffs),
-                                ],
-                            )
-                    else:
-                        for rm in parts[pidx].tolist():
-                            mem = members(rm)
-                            if mem.shape[0] == 0:
-                                continue
-                            cid = int(self._cell_id(L, np.array([rm % side]), np.array([rm // side]))[0])
-                            tb.read(pidx, cells_r, np.array([cid]))
-                            tb.read(pidx, particles, mem)
-                            tb.write(pidx, particles, mem)
+                    occ = parts[pidx][counts[parts[pidx]] > 0]
+                    if occ.shape[0]:
+                        moffs = counts_to_offsets(counts[occ])
+                        mem_col = gather(occ)
+                        tb.emit_ragged(
+                            pidx,
+                            [
+                                (cells_r, False,
+                                 self._cell_id(L, occ % side, occ // side), 1),
+                                (particles, False, mem_col, moffs),
+                                (particles, True, mem_col, moffs),
+                            ],
+                        )
                     tb.work(pidx, EXPANSION_WORK * float(counts[parts[pidx]].sum()) * (p + 1))
                 tb.barrier("inter_particle")
                 self.emit_seconds += perf_counter() - t0
@@ -610,80 +568,47 @@ class FMM(Application):
                             )
             if emit:
                 t0 = perf_counter()
-                if ragged:
-                    for pidx in range(P):
-                        occ = parts[pidx][counts[parts[pidx]] > 0]
-                        npairs = 0.0
-                        if occ.shape[0]:
-                            tix, tiy = occ % side, occ // side
-                            sx = tix[:, None] + _P2P_STENCIL[None, :, 0]
-                            sy = tiy[:, None] + _P2P_STENCIL[None, :, 1]
-                            ok = (sx >= 0) & (sx < side) & (sy >= 0) & (sy < side)
-                            nbr = (sy * side + sx)[ok]
-                            grp = np.repeat(
-                                np.arange(occ.shape[0], dtype=np.int64),
-                                ok.sum(axis=1),
-                            )
-                            tot = np.bincount(
-                                grp, weights=counts[nbr], minlength=occ.shape[0]
-                            ).astype(np.int64)
-                            kept = tot > 0
-                            nbo = nbr[counts[nbr] > 0]
-                            tb.emit_ragged(
-                                pidx,
-                                [
-                                    (particles, False,
-                                     ragged_take(sort_order, starts_m[rank_L[nbo]],
-                                                 counts[nbo]),
-                                     counts_to_offsets(tot[kept])),
-                                    (particles, True, gather(occ[kept]),
-                                     counts_to_offsets(counts[occ[kept]])),
-                                ],
-                            )
-                            # Lock per remotely-owned in-bounds neighbour leaf
-                            # of every leaf that emitted a unit.
-                            remote = np.bincount(
-                                grp,
-                                weights=(owner_rm[nbr] != pidx),
-                                minlength=occ.shape[0],
-                            )
-                            nlocks = int(remote[kept].sum())
-                            if nlocks:
-                                tb.lock(pidx, nlocks)
-                            npairs = float((counts[occ] * tot)[kept].sum())
-                        tb.work(pidx, P2P_WORK * npairs)
-                else:
-                    for pidx in range(P):
-                        npairs = 0.0
-                        for rm in parts[pidx].tolist():
-                            mem = members(rm)
-                            if mem.shape[0] == 0:
-                                continue
-                            tix, tiy = rm % side, rm // side
-                            nb_chunks = []
-                            for dx, dy in _P2P_STENCIL.tolist():
-                                sx, sy = tix + dx, tiy + dy
-                                if 0 <= sx < side and 0 <= sy < side:
-                                    nb = members(sy * side + sx)
-                                    if nb.shape[0]:
-                                        nb_chunks.append(nb)
-                            if not nb_chunks:
-                                continue
-                            nbs = np.concatenate(nb_chunks)
-                            npairs += float(mem.shape[0] * nbs.shape[0])
-                            tb.read(pidx, particles, nbs)
-                            tb.write(pidx, particles, mem)
-                            # Lock per remotely-owned neighbour leaf.
-                            remote_leaves = sum(
-                                1
-                                for dx, dy in _P2P_STENCIL.tolist()
-                                if 0 <= tix + dx < side
-                                and 0 <= tiy + dy < side
-                                and owner_rm[(tiy + dy) * side + (tix + dx)] != pidx
-                            )
-                            if remote_leaves:
-                                tb.lock(pidx, remote_leaves)
-                        tb.work(pidx, P2P_WORK * npairs)
+                for pidx in range(P):
+                    occ = parts[pidx][counts[parts[pidx]] > 0]
+                    npairs = 0.0
+                    if occ.shape[0]:
+                        tix, tiy = occ % side, occ // side
+                        sx = tix[:, None] + _P2P_STENCIL[None, :, 0]
+                        sy = tiy[:, None] + _P2P_STENCIL[None, :, 1]
+                        ok = (sx >= 0) & (sx < side) & (sy >= 0) & (sy < side)
+                        nbr = (sy * side + sx)[ok]
+                        grp = np.repeat(
+                            np.arange(occ.shape[0], dtype=np.int64),
+                            ok.sum(axis=1),
+                        )
+                        tot = np.bincount(
+                            grp, weights=counts[nbr], minlength=occ.shape[0]
+                        ).astype(np.int64)
+                        kept = tot > 0
+                        nbo = nbr[counts[nbr] > 0]
+                        tb.emit_ragged(
+                            pidx,
+                            [
+                                (particles, False,
+                                 ragged_take(sort_order, starts_m[rank_L[nbo]],
+                                             counts[nbo]),
+                                 counts_to_offsets(tot[kept])),
+                                (particles, True, gather(occ[kept]),
+                                 counts_to_offsets(counts[occ[kept]])),
+                            ],
+                        )
+                        # Lock per remotely-owned in-bounds neighbour leaf
+                        # of every leaf that emitted a unit.
+                        remote = np.bincount(
+                            grp,
+                            weights=(owner_rm[nbr] != pidx),
+                            minlength=occ.shape[0],
+                        )
+                        nlocks = int(remote[kept].sum())
+                        if nlocks:
+                            tb.lock(pidx, nlocks)
+                        npairs = float((counts[occ] * tot)[kept].sum())
+                    tb.work(pidx, P2P_WORK * npairs)
                 tb.barrier("intra_particle")
                 self.emit_seconds += perf_counter() - t0
 
@@ -731,28 +656,18 @@ class FMM(Application):
             if emit:
                 t0 = perf_counter()
                 for pidx in range(P):
-                    if ragged:
-                        sel = parts[pidx][counts[parts[pidx]] >= 2]
-                        if sel.shape[0]:
-                            moffs = counts_to_offsets(counts[sel])
-                            mem_col = gather(sel)
-                            tb.emit_ragged(
-                                pidx,
-                                [
-                                    (particles, False, mem_col, moffs),
-                                    (particles, True, mem_col, moffs),
-                                ],
-                            )
-                        npairs = float((counts[sel] * (counts[sel] - 1)).sum())
-                    else:
-                        npairs = 0.0
-                        for rm in parts[pidx].tolist():
-                            mem = members(rm)
-                            if mem.shape[0] < 2:
-                                continue
-                            npairs += float(mem.shape[0] * (mem.shape[0] - 1))
-                            tb.read(pidx, particles, mem)
-                            tb.write(pidx, particles, mem)
+                    sel = parts[pidx][counts[parts[pidx]] >= 2]
+                    if sel.shape[0]:
+                        moffs = counts_to_offsets(counts[sel])
+                        mem_col = gather(sel)
+                        tb.emit_ragged(
+                            pidx,
+                            [
+                                (particles, False, mem_col, moffs),
+                                (particles, True, mem_col, moffs),
+                            ],
+                        )
+                    npairs = float((counts[sel] * (counts[sel] - 1)).sum())
                     tb.work(pidx, P2P_WORK * npairs)
                 tb.barrier("other")
                 self.emit_seconds += perf_counter() - t0

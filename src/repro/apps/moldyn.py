@@ -243,54 +243,36 @@ class Moldyn(Application):
         """Force evaluation: per owned molecule, read partners via the
         interaction list; write both partners of every pair.
 
-        Loop mode stages four builder calls per molecule (the original
-        path); ragged mode stages the same four lanes — self read, partner
-        reads, self write, partner writes — for a whole block at once.
-        The pair list is sorted by first endpoint and the blocks are
-        contiguous, so each block's partner stream is one slice of the
-        ``j`` column and the per-molecule offsets come straight from
-        ``bounds``; molecules without partners are dropped, exactly like
-        the loop's ``hi == lo`` skip."""
+        One ragged call per block stages four lanes per molecule — self
+        read, partner reads, self write, partner writes.  The pair list is
+        sorted by first endpoint and the blocks are contiguous, so each
+        block's partner stream is one slice of the ``j`` column and the
+        per-molecule offsets come straight from ``bounds``; molecules
+        without partners are dropped."""
         with self._phys("forces"):
             self._lj_forces()
         if self.emit_mode == "none":
             return
         t0 = perf_counter()
         bounds = self._owned_pair_bounds()
-        if self.emit_mode == "loop":
-            for p in range(self.nprocs):
-                for i in self.parts[p].tolist():
-                    lo, hi = bounds[i], bounds[i + 1]
-                    if hi == lo:
-                        continue
-                    partners = self.pairs[lo:hi, 1]
-                    tb.read(p, mol, np.array([i]))
-                    tb.read(p, mol, partners)
-                    tb.write(p, mol, np.array([i]))
-                    tb.write(p, mol, partners)
-                tb.work(
-                    p,
-                    float(bounds[self.parts[p][-1] + 1] - bounds[self.parts[p][0]]),
-                )
-        else:
-            pj = np.ascontiguousarray(self.pairs[:, 1])
-            for p in range(self.nprocs):
-                mine = self.parts[p]
-                cnt = np.diff(bounds[mine[0] : mine[-1] + 2])
-                mols = mine[cnt > 0]
-                offs = np.zeros(mols.shape[0] + 1, dtype=np.int64)
-                np.cumsum(cnt[cnt > 0], out=offs[1:])
-                part = pj[bounds[mine[0]] : bounds[mine[-1] + 1]]
-                tb.emit_ragged(
-                    p,
-                    [
-                        (mol, False, mols, 1),
-                        (mol, False, part, offs),
-                        (mol, True, mols, 1),
-                        (mol, True, part, offs),
-                    ],
-                )
-                tb.work(p, float(part.shape[0]))
+        pj = np.ascontiguousarray(self.pairs[:, 1])
+        for p in range(self.nprocs):
+            mine = self.parts[p]
+            cnt = np.diff(bounds[mine[0] : mine[-1] + 2])
+            mols = mine[cnt > 0]
+            offs = np.zeros(mols.shape[0] + 1, dtype=np.int64)
+            np.cumsum(cnt[cnt > 0], out=offs[1:])
+            part = pj[bounds[mine[0]] : bounds[mine[-1] + 1]]
+            tb.emit_ragged(
+                p,
+                [
+                    (mol, False, mols, 1),
+                    (mol, False, part, offs),
+                    (mol, True, mols, 1),
+                    (mol, True, part, offs),
+                ],
+            )
+            tb.work(p, float(part.shape[0]))
         self._emit_acc += perf_counter() - t0
 
     def _emit_update(self, tb: TraceBuilder, mol: int) -> None:

@@ -131,13 +131,9 @@ class Unstructured(Application):
             if rows.shape[0] == 0:
                 continue
             stream = rows.ravel()  # interleaved endpoint order, as iterated
-            if self.emit_mode == "loop":
-                tb.read(p, region, stream)
-                tb.write(p, region, stream)
-            else:
-                # The stream is already one batched read-modify-write burst
-                # pair; the ragged API stages it without re-normalizing.
-                tb.update_ragged(p, region, stream, stream.shape[0])
+            # The stream is already one batched read-modify-write burst
+            # pair; the ragged API stages it without re-normalizing.
+            tb.update_ragged(p, region, stream, stream.shape[0])
             tb.work(p, float(rows.shape[0]) * width)
             # Lock-protected remote updates.  Like the Chaos runtime, the
             # benchmark aggregates off-block accumulations and flushes them

@@ -220,44 +220,15 @@ class WaterSpatial(Application):
     # -- trace emission ----------------------------------------------------
 
     def _emit_forces(self, tb, order, starts, own_list, mol, cells) -> None:
-        """Stage the force-phase access pattern (loop or ragged mode).
+        """Stage the force-phase access pattern, one ragged call per processor.
 
         The sweep emits one *unit* per occupied own cell (cell-entry read,
         member read, member write) followed by one unit per occupied
         in-bounds half-stencil neighbour (entry read, neighbour read, own
-        write, neighbour write).  The loop mode is the original per-cell
-        staging; the ragged mode builds the same interleaved unit stream as
-        four CSR lanes — the intra-cell units simply carry a zero-length
-        fourth lane, which the builder drops exactly like the loop never
-        emitting it — and produces a byte-identical trace.
+        write, neighbour write), as four CSR lanes; the intra-cell units
+        carry a zero-length fourth lane, which the builder drops.
         """
         P = self.nprocs
-        if self.emit_mode == "loop":
-            members = lambda c: order[starts[c] : starts[c + 1]]  # noqa: E731
-            for p in range(P):
-                npairs = 0.0
-                for c in own_list[p].tolist():
-                    mem = members(c)
-                    if mem.shape[0] == 0:
-                        continue
-                    tb.read(p, cells, np.array([c]))
-                    tb.read(p, mol, mem)
-                    # Intra-cell pairs update owned molecules only.
-                    tb.write(p, mol, mem)
-                    npairs += mem.shape[0] * (mem.shape[0] - 1) / 2.0
-                    for d in self._neighbor_cells(c):
-                        nmem = members(d)
-                        if nmem.shape[0] == 0:
-                            continue
-                        tb.read(p, cells, np.array([d]))
-                        tb.read(p, mol, nmem)
-                        tb.write(p, mol, mem)
-                        tb.write(p, mol, nmem)
-                        npairs += float(mem.shape[0] * nmem.shape[0])
-                        if self.cell_owner[d] != p:
-                            tb.lock(p, 1)
-                tb.work(p, npairs)
-            return
         cnt_all = np.diff(starts)
         for p in range(P):
             occ = own_list[p]
@@ -304,11 +275,6 @@ class WaterSpatial(Application):
 
     def _owned(self, order, starts, own: np.ndarray) -> np.ndarray:
         """Owned molecules in cell-sweep order (update/move phases)."""
-        if self.emit_mode == "loop":
-            return np.concatenate(
-                [order[starts[c] : starts[c + 1]] for c in own.tolist()]
-                or [np.empty(0, np.int64)]
-            )
         return ragged_take(order, starts[own], starts[own + 1] - starts[own])
 
     # -- execution ---------------------------------------------------------

@@ -26,7 +26,6 @@ import numpy as np
 
 from ..trace.events import Trace
 from ..trace.layout import DecodedEpoch, Layout, decode_epoch, decode_memo
-from ..trace.packed import PackedTrace
 from .params import HardwareParams
 
 __all__ = ["MESIResult", "simulate_mesi"]
@@ -79,13 +78,6 @@ class _Cache:
         return self.lines.pop(line, None)
 
 
-def _proc_write_flags(epoch, proc: int) -> np.ndarray:
-    """Per-access write flags for one processor, cheapest available way."""
-    if hasattr(epoch, "write_flags"):
-        return epoch.write_flags(proc)
-    return epoch.flat(proc)[2]
-
-
 def _interleave(
     epoch,
     layout: Layout,
@@ -112,7 +104,7 @@ def _interleave(
         if u.shape[0] == 0:
             continue
         lines.append(u)
-        writes.append(decoded.expand(p, _proc_write_flags(epoch, p)))
+        writes.append(decoded.expand(p, epoch.write_flags(p)))
         procs.append(np.full(u.shape[0], p, dtype=np.int64))
         pos.append(np.arange(u.shape[0], dtype=np.int64))
     if not lines:
@@ -198,11 +190,11 @@ def simulate_mesi(
                     invalidations[q] += 1
                 sharers.discard(q)
 
-    # Packed traces share their line-stream decodes with the other
-    # platforms through the per-trace memo.
-    memo = decode_memo(trace) if isinstance(trace, PackedTrace) else None
+    # Line-stream decodes are shared with the other platforms through the
+    # per-trace memo.
+    memo = decode_memo(trace)
     for ei, epoch in enumerate(trace.epochs):
-        decoded = None if memo is None else memo.epoch(layout, params.line_size, ei)
+        decoded = memo.epoch(layout, params.line_size, ei)
         procs_col, lines_col, writes_col = _interleave(
             epoch, layout, params.line_size, nprocs, decoded=decoded
         )

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...trace.events import Epoch, Trace
-from ...trace.layout import DecodeMemo, Layout, decode_memo
-from ...trace.packed import PackedTrace
+from ...trace.events import Trace
+from ...trace.layout import DecodedEpoch, DecodeMemo, Layout, decode_memo
+from ...trace.packed import PackedEpoch
 
 __all__ = [
     "EpochPageInfo",
@@ -61,63 +61,9 @@ def total_pages(layout: Layout, page_size: int) -> int:
     return -(-max(layout.total_bytes, 1) // page_size)
 
 
-def _epoch_info(epoch: Epoch, layout: Layout, page_size: int) -> EpochPageInfo:
-    accesses: list[np.ndarray] = []
-    writes: list[np.ndarray] = []
-    write_bytes: list[np.ndarray] = []
-    for p in range(epoch.nprocs):
-        acc_chunks: list[np.ndarray] = []
-        # (page, object) pairs per region for dirty-byte accounting.
-        dirty_pairs: dict[int, list[np.ndarray]] = {}
-        for b in epoch.bursts[p]:
-            spec_pages = layout.pages(b.region, b.indices, page_size)
-            acc_chunks.append(spec_pages)
-            if b.is_write:
-                # Pair each expanded page with its object id so distinct
-                # dirtied objects per page can be counted.  Re-expand with
-                # object ids carried along.
-                start = layout.addresses(b.region, b.indices)
-                shift = page_size.bit_length() - 1
-                first = start >> shift
-                last = (start + layout.regions[b.region].object_size - 1) >> shift
-                span = last - first
-                max_span = int(span.max()) + 1 if span.size else 1
-                grid = first[:, None] + np.arange(max_span, dtype=np.int64)[None, :]
-                mask = np.arange(max_span, dtype=np.int64)[None, :] <= span[:, None]
-                objs = np.broadcast_to(b.indices[:, None], grid.shape)
-                pairs = np.stack([grid[mask], objs[mask]], axis=1)
-                dirty_pairs.setdefault(b.region, []).append(pairs)
-        accesses.append(
-            np.unique(np.concatenate(acc_chunks)) if acc_chunks else np.empty(0, np.int64)
-        )
-        if dirty_pairs:
-            page_bytes: dict[int, int] = {}
-            for region, plist in dirty_pairs.items():
-                osize = layout.regions[region].object_size
-                pairs = np.unique(np.concatenate(plist), axis=0)
-                pages, counts = np.unique(pairs[:, 0], return_counts=True)
-                for pg, c in zip(pages.tolist(), counts.tolist()):
-                    page_bytes[pg] = page_bytes.get(pg, 0) + c * osize
-            wpages = np.array(sorted(page_bytes), dtype=np.int64)
-            wbytes = np.array(
-                [min(page_bytes[int(g)], page_size) for g in wpages], dtype=np.int64
-            )
-        else:
-            wpages = np.empty(0, np.int64)
-            wbytes = np.empty(0, np.int64)
-        writes.append(wpages)
-        write_bytes.append(wbytes)
-    return EpochPageInfo(
-        accesses=accesses,
-        writes=writes,
-        write_bytes=write_bytes,
-        label=epoch.label,
-        work=epoch.work.copy(),
-        lock_acquires=epoch.lock_acquires.copy(),
-    )
-
-
-def _packed_write_accesses(epoch, p: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _write_accesses(
+    epoch: PackedEpoch, p: int
+) -> tuple[np.ndarray, np.ndarray] | None:
     """``(region, index)`` of ``p``'s written accesses, from burst columns.
 
     Selecting at burst granularity keeps the whole-epoch derived
@@ -139,15 +85,22 @@ def _packed_write_accesses(epoch, p: int) -> tuple[np.ndarray, np.ndarray] | Non
     return wregs, widx
 
 
-def _epoch_info_packed(
-    epoch, decoded, layout: Layout, page_size: int
-) -> EpochPageInfo:
-    """Vectorized :func:`_epoch_info` over packed columns.
+def _page_columns(
+    epoch: PackedEpoch,
+    decoded: DecodedEpoch,
+    layout: Layout,
+    page_size: int,
+    with_cross: bool,
+) -> tuple[list, list, list, list]:
+    """Per-proc page columns of one epoch: ``(accesses, writes, ub, cross)``.
 
-    ``accesses`` comes straight from the memoized page decode; dirty-byte
-    accounting deduplicates expanded ``(page, region, object)`` triples
-    with one lexsort instead of per-burst dict accumulation.  Outputs are
-    byte-for-byte identical to :func:`_epoch_info`.
+    ``accesses`` comes straight from the memoized page decode.  For the
+    written pages, ``ub`` is the *uncapped* distinct-object dirty byte sum:
+    written objects are expanded to the pages they cover and the
+    ``(page, region, object)`` triples deduplicated with one lexsort.
+    ``cross`` — the bytes of written objects whose span crosses a page's
+    left boundary, which only the page-size ladder needs — is computed when
+    ``with_cross`` is set and is ``None`` per proc otherwise.
     """
     shift = page_size.bit_length() - 1
     bases = np.asarray(layout.bases, dtype=np.int64)
@@ -156,49 +109,74 @@ def _epoch_info_packed(
         dtype=np.int64,
         count=len(layout.regions),
     )
-    accesses: list[np.ndarray] = []
-    writes: list[np.ndarray] = []
-    write_bytes: list[np.ndarray] = []
+    empty = np.empty(0, np.int64)
+    acc: list[np.ndarray] = []
+    wr: list[np.ndarray] = []
+    ub: list[np.ndarray] = []
+    cross: list[np.ndarray | None] = []
     for p in range(epoch.nprocs):
         units = decoded.units[p]
-        accesses.append(
-            np.unique(units) if units.shape[0] else np.empty(0, np.int64)
-        )
-        wacc = _packed_write_accesses(epoch, p)
-        if wacc is not None:
-            wregs, widx = wacc
-            sizes = osizes[wregs]
-            start = bases[wregs] + widx * sizes
-            first = start >> shift
-            counts = ((start + sizes - 1) >> shift) - first + 1
-            # Expand each written object to the pages it covers, carrying
-            # (region, object) along for distinct-object dirty accounting.
-            pages_e = np.repeat(first, counts)
-            run_start = np.repeat(np.cumsum(counts) - counts, counts)
-            pages_e += np.arange(pages_e.shape[0], dtype=np.int64) - run_start
-            regs_e = np.repeat(wregs, counts)
-            objs_e = np.repeat(widx, counts)
-            order = np.lexsort((objs_e, regs_e, pages_e))
-            pg, rg, ob = pages_e[order], regs_e[order], objs_e[order]
-            fresh = np.empty(pg.shape[0], dtype=bool)
-            fresh[0] = True
-            fresh[1:] = (pg[1:] != pg[:-1]) | (rg[1:] != rg[:-1]) | (ob[1:] != ob[:-1])
-            wpages, inverse = np.unique(pg[fresh], return_inverse=True)
-            wbytes = np.bincount(inverse, weights=osizes[rg[fresh]]).astype(np.int64)
-            np.minimum(wbytes, page_size, out=wbytes)
+        acc.append(np.unique(units) if units.shape[0] else empty)
+        wacc = _write_accesses(epoch, p)
+        if wacc is None:
+            wr.append(empty)
+            ub.append(empty)
+            cross.append(empty if with_cross else None)
+            continue
+        wregs, widx = wacc
+        sizes = osizes[wregs]
+        start = bases[wregs] + widx * sizes
+        first = start >> shift
+        counts = ((start + sizes - 1) >> shift) - first + 1
+        # Expand each written object to the pages it covers, carrying
+        # (region, object) along for distinct-object dirty accounting.
+        pages_e = np.repeat(first, counts)
+        run_start = np.repeat(np.cumsum(counts) - counts, counts)
+        pages_e += np.arange(pages_e.shape[0], dtype=np.int64) - run_start
+        regs_e = np.repeat(wregs, counts)
+        objs_e = np.repeat(widx, counts)
+        order = np.lexsort((objs_e, regs_e, pages_e))
+        pg, rg, ob = pages_e[order], regs_e[order], objs_e[order]
+        fresh = np.empty(pg.shape[0], dtype=bool)
+        fresh[0] = True
+        fresh[1:] = (pg[1:] != pg[:-1]) | (rg[1:] != rg[:-1]) | (ob[1:] != ob[:-1])
+        pg, rg = pg[fresh], rg[fresh]
+        wpages, inverse = np.unique(pg, return_inverse=True)
+        sz = osizes[rg]
+        wr.append(wpages)
+        ub.append(np.bincount(inverse, weights=sz).astype(np.int64))
+        if with_cross:
+            crossing = ((bases[rg] + ob[fresh] * sz) >> shift) < pg
+            cross.append(
+                np.bincount(
+                    inverse[crossing], weights=sz[crossing], minlength=wpages.shape[0]
+                ).astype(np.int64)
+            )
         else:
-            wpages = np.empty(0, np.int64)
-            wbytes = np.empty(0, np.int64)
-        writes.append(wpages)
-        write_bytes.append(wbytes)
+            cross.append(None)
+    return acc, wr, ub, cross
+
+
+def _page_info(
+    epoch: PackedEpoch, acc: list, wr: list, ub: list, page_size: int
+) -> EpochPageInfo:
+    """:class:`EpochPageInfo` from page columns, dirty bytes capped."""
     return EpochPageInfo(
-        accesses=accesses,
-        writes=writes,
-        write_bytes=write_bytes,
+        accesses=acc,
+        writes=wr,
+        write_bytes=[np.minimum(b, page_size) for b in ub],
         label=epoch.label,
         work=np.asarray(epoch.work, dtype=np.float64).copy(),
         lock_acquires=np.asarray(epoch.lock_acquires, dtype=np.int64).copy(),
     )
+
+
+def _epoch_info(
+    epoch: PackedEpoch, decoded: DecodedEpoch, layout: Layout, page_size: int
+) -> EpochPageInfo:
+    """Page-level summary of one epoch at ``page_size``."""
+    acc, wr, ub, _cross = _page_columns(epoch, decoded, layout, page_size, False)
+    return _page_info(epoch, acc, wr, ub, page_size)
 
 
 def build_intervals(
@@ -206,27 +184,23 @@ def build_intervals(
 ) -> tuple[list[EpochPageInfo], Layout]:
     """Summarize every epoch of ``trace`` at ``page_size`` granularity.
 
-    For packed traces the summaries are built vectorized from the memoized
-    page decode and cached on the trace's decode memo keyed by geometry —
-    so running TreadMarks and HLRC (or repeating a sweep point) builds the
-    intervals once.
+    The summaries are built vectorized from the memoized page decode and
+    cached on the trace's decode memo keyed by geometry — so running
+    TreadMarks and HLRC (or repeating a sweep point) builds the intervals
+    once.
     """
     if layout is None:
         layout = Layout.for_trace(trace, align=page_size)
-    if isinstance(trace, PackedTrace):
-        memo = decode_memo(trace)
-        key = ("intervals", DecodeMemo.geometry_key(layout, page_size))
+    memo = decode_memo(trace)
+    key = ("intervals", DecodeMemo.geometry_key(layout, page_size))
 
-        def _build() -> list[EpochPageInfo]:
-            return [
-                _epoch_info_packed(
-                    epoch, memo.epoch(layout, page_size, ei), layout, page_size
-                )
-                for ei, epoch in enumerate(trace.epochs)
-            ]
+    def _build() -> list[EpochPageInfo]:
+        return [
+            _epoch_info(epoch, memo.epoch(layout, page_size, ei), layout, page_size)
+            for ei, epoch in enumerate(trace.epochs)
+        ]
 
-        return memo.derived(key, _build), layout
-    return [_epoch_info(e, layout, page_size) for e in trace.epochs], layout
+    return memo.derived(key, _build), layout
 
 
 # ---------------------------------------------------------------------------
@@ -251,60 +225,6 @@ def build_intervals(
 #   both children iff it crosses it; objects are contiguous byte runs,
 #   so crossing the left boundary of ``2P+1`` is exactly "touches both").
 #   The page-size cap is applied only when a level is materialized.
-
-
-def _epoch_ladder_packed(
-    epoch, decoded, layout: Layout, page_size: int
-) -> tuple[list, list, list, list]:
-    """Finest-level ladder columns: (accesses, writes, ub, cross) per proc."""
-    shift = page_size.bit_length() - 1
-    bases = np.asarray(layout.bases, dtype=np.int64)
-    osizes = np.fromiter(
-        (r.object_size for r in layout.regions),
-        dtype=np.int64,
-        count=len(layout.regions),
-    )
-    empty = np.empty(0, np.int64)
-    acc: list[np.ndarray] = []
-    wr: list[np.ndarray] = []
-    ub: list[np.ndarray] = []
-    cross: list[np.ndarray] = []
-    for p in range(epoch.nprocs):
-        units = decoded.units[p]
-        acc.append(np.unique(units) if units.shape[0] else empty)
-        wacc = _packed_write_accesses(epoch, p)
-        if wacc is None:
-            wr.append(empty)
-            ub.append(empty)
-            cross.append(empty)
-            continue
-        wregs, widx = wacc
-        sizes = osizes[wregs]
-        start = bases[wregs] + widx * sizes
-        first = start >> shift
-        counts = ((start + sizes - 1) >> shift) - first + 1
-        pages_e = np.repeat(first, counts)
-        run_start = np.repeat(np.cumsum(counts) - counts, counts)
-        pages_e += np.arange(pages_e.shape[0], dtype=np.int64) - run_start
-        regs_e = np.repeat(wregs, counts)
-        objs_e = np.repeat(widx, counts)
-        order = np.lexsort((objs_e, regs_e, pages_e))
-        pg, rg, ob = pages_e[order], regs_e[order], objs_e[order]
-        fresh = np.empty(pg.shape[0], dtype=bool)
-        fresh[0] = True
-        fresh[1:] = (pg[1:] != pg[:-1]) | (rg[1:] != rg[:-1]) | (ob[1:] != ob[:-1])
-        pg, rg, ob = pg[fresh], rg[fresh], ob[fresh]
-        wpages, inverse = np.unique(pg, return_inverse=True)
-        sz = osizes[rg]
-        wb = np.bincount(inverse, weights=sz).astype(np.int64)
-        crossing = ((bases[rg] + ob * sz) >> shift) < pg
-        cx = np.bincount(
-            inverse[crossing], weights=sz[crossing], minlength=wpages.shape[0]
-        ).astype(np.int64)
-        wr.append(wpages)
-        ub.append(wb)
-        cross.append(cx)
-    return acc, wr, ub, cross
 
 
 def _fold_ladder(
@@ -352,9 +272,6 @@ def build_interval_ladder(
     materialized level is registered in the trace's decode memo under the
     same key :func:`build_intervals` uses, so later per-size calls with
     this layout are cache hits.
-
-    Non-packed traces fall back to per-size :func:`build_intervals` on
-    the shared layout (correct, no sharing).
     """
     sizes = sorted({int(s) for s in page_sizes})
     if not sizes:
@@ -364,9 +281,6 @@ def build_interval_ladder(
             raise ValueError(f"page sizes must be powers of two, got {s}")
     if layout is None:
         layout = Layout.for_trace(trace, align=sizes[-1])
-    if not isinstance(trace, PackedTrace):
-        return {s: build_intervals(trace, layout, s)[0] for s in sizes}, layout
-
     memo = decode_memo(trace)
     keys = {s: ("intervals", DecodeMemo.geometry_key(layout, s)) for s in sizes}
     # A repeat call (the other protocol's sweep of the same trace) would
@@ -377,8 +291,8 @@ def build_interval_ladder(
     # The finest-size decode is read once, here; storing it would hold every
     # epoch's streams at the finest (largest) geometry for nothing.
     levels = [
-        _epoch_ladder_packed(
-            epoch, memo.epoch(layout, finest, ei, store=False), layout, finest
+        _page_columns(
+            epoch, memo.epoch(layout, finest, ei, store=False), layout, finest, True
         )
         for ei, epoch in enumerate(trace.epochs)
     ]
@@ -390,16 +304,7 @@ def build_interval_ladder(
 
             def _materialize(levels=levels, cap=cap) -> list[EpochPageInfo]:
                 return [
-                    EpochPageInfo(
-                        accesses=acc,
-                        writes=wr,
-                        write_bytes=[np.minimum(b, cap) for b in ub],
-                        label=epoch.label,
-                        work=np.asarray(epoch.work, dtype=np.float64).copy(),
-                        lock_acquires=np.asarray(
-                            epoch.lock_acquires, dtype=np.int64
-                        ).copy(),
-                    )
+                    _page_info(epoch, acc, wr, ub, cap)
                     for epoch, (acc, wr, ub, _cx) in zip(trace.epochs, levels)
                 ]
 

@@ -13,7 +13,7 @@ makes it restartable and crash-proof:
   completed cells; corrupt or version-mismatched entries are quarantined
   and regenerated instead of crashing;
 * :mod:`repro.runtime.faults` — deterministic fault injection (worker
-  crashes, hangs, truncated/garbled ``.npz`` files, partial writes) used
+  crashes, hangs, truncated/garbled ``.npt`` files, partial writes) used
   by the test suite to prove each degradation path;
 * :mod:`repro.runtime.context` — the :class:`RuntimeContext` the CLI and
   benchmark harness install to switch all of the above on.

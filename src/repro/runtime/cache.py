@@ -60,8 +60,9 @@ __all__ = [
 log = logging.getLogger("repro.runtime")
 
 #: App knobs whose every setting yields a byte-identical trace, so keys
-#: leave them out: the numerics ``engine`` and the ``emit`` path.
-BYTE_IDENTICAL_KNOBS = ("engine", "emit")
+#: leave them out: the numerics ``engine``.  (``emit`` is keyed:
+#: ``"none"`` yields an empty trace.)
+BYTE_IDENTICAL_KNOBS = ("engine",)
 
 
 def canonical_extra(extra: dict) -> tuple[tuple[str, str], ...]:

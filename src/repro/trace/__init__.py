@@ -1,10 +1,10 @@
 """Shared-memory access traces: representation, construction, statistics."""
 
-from .builder import TraceBuilder, set_packed_default
-from .events import Burst, Epoch, RegionSpec, Trace
-from .io import TRACE_SUFFIX, load_trace, save_trace, save_trace_npz
+from .builder import TraceBuilder
+from .events import Burst, RegionSpec, Trace
+from .io import TRACE_SUFFIX, load_trace, save_trace
 from .layout import DecodedEpoch, DecodeMemo, Layout, decode_epoch, decode_memo
-from .packed import PackedEpoch, PackedTrace, pack_epoch, pack_trace, unpack_trace
+from .packed import PackedEpoch
 from .stats import (
     AccessCounts,
     access_counts,
@@ -20,22 +20,15 @@ from .stats import (
 __all__ = [
     "RegionSpec",
     "Burst",
-    "Epoch",
     "Trace",
     "PackedEpoch",
-    "PackedTrace",
-    "pack_epoch",
-    "pack_trace",
-    "unpack_trace",
     "TraceBuilder",
-    "set_packed_default",
     "Layout",
     "DecodedEpoch",
     "DecodeMemo",
     "decode_epoch",
     "decode_memo",
     "save_trace",
-    "save_trace_npz",
     "load_trace",
     "TRACE_SUFFIX",
     "page_sharers",

@@ -9,9 +9,10 @@ defines that representation:
   count, object size in bytes — the paper's Table 1 column);
 * a :class:`Burst` is a run of object-granularity accesses (read or write)
   by one processor to one region, in traversal order;
-* an :class:`Epoch` is everything between two barriers: per-processor burst
-  lists plus lock-acquisition and work counters;
-* a :class:`Trace` is the whole run: the region table plus the epoch list.
+* a :class:`RaggedBatch` is a group of bursts staged in CSR form;
+* a :class:`Trace` is the whole run: the region table plus the epoch list,
+  each epoch (everything between two barriers) a columnar
+  :class:`repro.trace.packed.PackedEpoch`.
 
 Traces are *object-granularity*: they record which object was touched, not
 which byte.  The mapping to bytes/lines/pages lives in
@@ -22,10 +23,14 @@ different consistency-unit sizes (the paper's central variable).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-__all__ = ["RegionSpec", "Burst", "RaggedBatch", "Epoch", "Trace"]
+if TYPE_CHECKING:
+    from .packed import PackedEpoch
+
+__all__ = ["RegionSpec", "Burst", "RaggedBatch", "Trace"]
 
 
 @dataclass(frozen=True)
@@ -73,9 +78,9 @@ class Burst:
 
     def __post_init__(self) -> None:
         idx = self.indices
-        # Callers on the hot path (TraceBuilder, the packed compatibility
-        # view) hand in already-contiguous int64 arrays; converting again
-        # here would copy every burst twice.  Only normalize when needed.
+        # The packed ``bursts`` view hands in already-contiguous int64
+        # slices; converting again here would copy every burst.  Only
+        # normalize when needed.
         if not (
             isinstance(idx, np.ndarray)
             and idx.dtype == np.int64
@@ -103,8 +108,7 @@ class RaggedBatch:
 
     One batch replaces up to ``k * len(lanes)`` staged tuples with a
     constant number of arrays; :meth:`expand` produces the equivalent
-    packed burst columns vectorized, :meth:`iter_bursts` the equivalent
-    :class:`Burst` sequence for the legacy list path.  The index arrays are
+    packed burst columns vectorized.  The index arrays are
     staged without a copy, so callers must not mutate them before the
     epoch is sealed (the same aliasing contract as ``TraceBuilder.read``).
     """
@@ -185,72 +189,6 @@ class RaggedBatch:
             breg, bwri, lens = breg[nz], bwri[nz], lens[nz]
         return breg, bwri, lens, index
 
-    def iter_bursts(self):
-        """Yield the equivalent non-empty :class:`Burst` sequence.
-
-        Burst-major across lanes; the ``indices`` are views into the lane
-        arrays (no copies).  Used by the legacy burst-list builder path.
-        """
-        for j in range(self.nbursts):
-            for region, write, idx, offs in self.lanes:
-                lo, hi = int(offs[j]), int(offs[j + 1])
-                if hi > lo:
-                    yield Burst(region, idx[lo:hi], write)
-
-
-@dataclass
-class Epoch:
-    """All shared accesses between two consecutive barriers.
-
-    Attributes
-    ----------
-    bursts:
-        ``bursts[p]`` is the ordered burst list of processor ``p``.
-    work:
-        ``work[p]`` — abstract compute units (e.g. pair interactions)
-        performed by processor ``p``; drives the timing model.
-    lock_acquires:
-        ``lock_acquires[p]`` — number of lock acquisitions by ``p``.
-    label:
-        Phase name for per-phase breakdowns (paper's Table 4).
-    """
-
-    nprocs: int
-    label: str = ""
-    bursts: list[list[Burst]] = field(default_factory=list)
-    work: np.ndarray = field(default=None)  # type: ignore[assignment]
-    lock_acquires: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.nprocs <= 0:
-            raise ValueError("nprocs must be positive")
-        if not self.bursts:
-            self.bursts = [[] for _ in range(self.nprocs)]
-        if self.work is None:
-            self.work = np.zeros(self.nprocs, dtype=np.float64)
-        if self.lock_acquires is None:
-            self.lock_acquires = np.zeros(self.nprocs, dtype=np.int64)
-
-    def accesses(self, proc: int) -> int:
-        """Total object accesses by processor ``proc`` in this epoch."""
-        return sum(len(b) for b in self.bursts[proc])
-
-    def flat(self, proc: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten a processor's bursts to ``(region, index, is_write)`` arrays."""
-        bl = self.bursts[proc]
-        if not bl:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=bool),
-            )
-        regions = np.concatenate(
-            [np.full(len(b), b.region, dtype=np.int64) for b in bl]
-        )
-        indices = np.concatenate([b.indices for b in bl])
-        writes = np.concatenate([np.full(len(b), b.is_write, dtype=bool) for b in bl])
-        return regions, indices, writes
-
 
 @dataclass
 class Trace:
@@ -259,12 +197,14 @@ class Trace:
     The epoch order is the global synchronization order (epochs are
     barrier-separated, so every processor's epoch ``e`` accesses
     happen-before every processor's epoch ``e+1`` accesses — the property
-    the lazy-release-consistency models rely on).
+    the lazy-release-consistency models rely on).  Simulators and
+    statistics share decodings of the epochs' columns through the
+    per-trace memo in :mod:`repro.trace.layout`.
     """
 
     nprocs: int
     regions: list[RegionSpec] = field(default_factory=list)
-    epochs: list[Epoch] = field(default_factory=list)
+    epochs: list[PackedEpoch] = field(default_factory=list)
 
     def region_id(self, name: str) -> int:
         # Called inside per-epoch loops (trace.stats, experiments); a linear
@@ -281,30 +221,54 @@ class Trace:
 
     @property
     def total_accesses(self) -> int:
-        return sum(e.accesses(p) for e in self.epochs for p in range(self.nprocs))
+        return sum(e.total_accesses for e in self.epochs)
 
     @property
     def total_work(self) -> float:
         return float(sum(e.work.sum() for e in self.epochs))
 
-    def epochs_labelled(self, label: str) -> list[Epoch]:
+    def epochs_labelled(self, label: str) -> list[PackedEpoch]:
         """Epochs of a given phase (for the paper's Table 4 breakdown)."""
         return [e for e in self.epochs if e.label == label]
 
     def validate(self) -> None:
-        """Check internal consistency; raises ``ValueError`` on corruption."""
+        """Vectorized consistency check; raises ``ValueError`` on corruption.
+
+        Works at burst granularity — a per-burst min/max via ``reduceat``
+        against the burst's region limit — so it never materializes the
+        derived per-access region column.
+        """
+        nregions = len(self.regions)
+        limits = np.fromiter(
+            (r.num_objects for r in self.regions), dtype=np.int64, count=nregions
+        )
         for e in self.epochs:
             if e.nprocs != self.nprocs:
                 raise ValueError("epoch/trace processor count mismatch")
-            for plist in e.bursts:
-                for b in plist:
-                    if not 0 <= b.region < len(self.regions):
-                        raise ValueError(f"burst references unknown region {b.region}")
-                    spec = self.regions[b.region]
-                    if len(b) and (
-                        int(b.indices.min()) < 0
-                        or int(b.indices.max()) >= spec.num_objects
-                    ):
-                        raise ValueError(
-                            f"burst indices out of range for region {spec.name!r}"
-                        )
+            e.check_structure()
+            breg = np.asarray(e.burst_region)
+            if breg.shape[0] == 0:
+                continue
+            rmin = int(breg.min())
+            rmax = int(breg.max())
+            if rmin < 0 or rmax >= nregions:
+                raise ValueError(
+                    f"burst references unknown region {rmin if rmin < 0 else rmax}"
+                )
+            blen = np.asarray(e.burst_length)
+            nz = blen > 0
+            if not nz.any():
+                continue
+            starts = np.empty(blen.shape[0], dtype=np.int64)
+            starts[0] = 0
+            np.cumsum(blen[:-1], out=starts[1:])
+            nz_starts = starts[nz]
+            bmin = np.minimum.reduceat(e.index, nz_starts)
+            bmax = np.maximum.reduceat(e.index, nz_starts)
+            lim = limits[breg[nz]]
+            bad = (bmin < 0) | (bmax >= lim)
+            if bad.any():
+                spec = self.regions[int(breg[nz][int(np.argmax(bad))])]
+                raise ValueError(
+                    f"burst indices out of range for region {spec.name!r}"
+                )

@@ -1,4 +1,4 @@
-"""Trace serialization: packed mmap bundles (``.npt``) + legacy ``.npz``.
+"""Trace serialization: packed mmap bundles (``.npt``).
 
 Trace generation is the expensive half of every experiment (the apps run
 real physics); the machine models are cheap pure functions.  Saving traces
@@ -27,7 +27,7 @@ A single raw binary bundle designed for ``np.memmap``::
               relative to the 64-byte-aligned data section
     ...       raw C-order array bytes, each segment 64-byte aligned
 
-The arrays are the columns of a :class:`repro.trace.packed.PackedTrace`
+The arrays are the epoch columns of a :class:`repro.trace.events.Trace`
 concatenated across epochs (offset tables, burst columns, work/lock
 matrices), minus two deliberate omissions that keep the bundle small —
 writing bytes is the dominant save cost:
@@ -55,7 +55,7 @@ the ``index`` column is delta-encoded (consecutive differences, which are
 small for coherent traversals) and narrowed to the smallest integer dtype
 before compression; the per-burst columns are narrowed likewise.  Each
 chunk records its byte extent, element count, and a CRC-32.  Loading a v3
-file builds a :class:`LazyPackedTrace` whose epochs decode chunks on
+file builds a :class:`LazyTrace` whose epochs decode chunks on
 demand through an LRU-bounded :class:`_ChunkStore` — replay touches one
 epoch at a time, so peak memory is a handful of epochs, not the trace.
 Chunk *bounds* are verified against the file size at load (truncation is
@@ -63,29 +63,26 @@ caught immediately, feeding the cache's quarantine path); CRCs are
 verified at decode time.  Uncompressed files keep the v2 mmap fast path,
 and v2 files remain readable forever.
 
-Legacy format (version 1) is the compressed ``.npz`` of earlier releases;
-:func:`load_trace` sniffs the magic and still reads it (eagerly), and
-:func:`save_trace_npz` still writes it — the pipeline benchmark uses that
-as its burst-list baseline.
+Format version 1, the compressed ``.npz`` of earlier releases, is no
+longer read: :func:`load_trace` recognises its zip magic and raises
+:class:`repro.errors.TraceVersionError` so the file can be regenerated.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io as _io
 import json
 import os
 import struct
 import tempfile
-import zipfile
 import zlib
 from collections import OrderedDict
 
 import numpy as np
 
 from ..errors import ConfigError, TraceCorruptError, TraceVersionError
-from .events import Burst, Epoch, RegionSpec, Trace
-from .packed import PackedEpoch, PackedTrace, pack_trace
+from .events import RegionSpec, Trace
+from .packed import PackedEpoch
 
 try:  # optional codec; the container may not ship it
     import lz4.frame as _lz4  # type: ignore[import-not-found]
@@ -94,17 +91,17 @@ except ImportError:  # pragma: no cover - environment-dependent
 
 __all__ = [
     "save_trace",
-    "save_trace_npz",
     "load_trace",
-    "LazyPackedTrace",
+    "LazyTrace",
     "TRACE_SUFFIX",
     "COMPRESSION_CODECS",
 ]
 
 _FORMAT_VERSION = 2
 _COMPRESSED_VERSION = 3
-_LEGACY_NPZ_VERSION = 1
 _MAGIC = b"REPROTRC"
+#: Local-file-header magic of a zip archive: a format-v1 ``.npz`` trace.
+_ZIP_MAGIC = b"PK\x03\x04"
 _ALIGN = 64
 #: Canonical file suffix for packed trace bundles.
 TRACE_SUFFIX = ".npt"
@@ -126,8 +123,8 @@ _CHUNK_DTYPES = {"|i1", "<i2", "<i4", "<i8", "|b1"}
 #: The per-epoch chunked columns of a v3 bundle, in storage order.
 _CHUNK_COLUMNS = ("index", "burst_region", "burst_write", "burst_length")
 
-#: Everything that can plausibly escape ``np.load``/``json``/array slicing
-#: on a damaged file.  Anything else is a programming error and propagates.
+#: Everything that can plausibly escape ``json``/``struct``/array reads on a
+#: damaged file.  Anything else is a programming error and propagates.
 _CORRUPTION_ERRORS = (
     ValueError,
     KeyError,
@@ -136,7 +133,6 @@ _CORRUPTION_ERRORS = (
     EOFError,
     OSError,
     struct.error,
-    zipfile.BadZipFile,
     zlib.error,
     json.JSONDecodeError,
     UnicodeDecodeError,
@@ -152,7 +148,7 @@ def _align_up(n: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def _pack_arrays(trace: PackedTrace) -> dict[str, np.ndarray]:
+def _pack_arrays(trace: Trace) -> dict[str, np.ndarray]:
     """Concatenate the per-epoch columns into the bundle's array set."""
     epochs = trace.epochs
     E = len(epochs)
@@ -191,7 +187,7 @@ def _pack_arrays(trace: PackedTrace) -> dict[str, np.ndarray]:
     }
 
 
-def _write_packed(fh, trace: PackedTrace) -> None:
+def _write_packed(fh, trace: Trace) -> None:
     arrays = _pack_arrays(trace)
     directory: dict[str, dict] = {}
     offset = 0
@@ -308,7 +304,7 @@ def _chunk_payload(epoch, name: str) -> tuple[np.ndarray, dict]:
     return _narrow_int(col), {}
 
 
-def _write_compressed(fh, trace: PackedTrace, codec: str) -> None:
+def _write_compressed(fh, trace: Trace, codec: str) -> None:
     """Write the v3 bundle: uncompressed meta arrays + per-epoch chunks."""
     compress = _codec_compress(codec)
     epochs = trace.epochs
@@ -402,8 +398,7 @@ def _write_compressed(fh, trace: PackedTrace, codec: str) -> None:
 def save_trace(trace: Trace, path, compression: str = "none") -> None:
     """Write ``trace`` to ``path`` as a packed bundle, atomically.
 
-    Burst-list traces are packed first (:func:`repro.trace.packed.pack_trace`);
-    packed traces serialize without copying their columns.  The bytes go to
+    The epoch columns serialize without copying.  The bytes go to
     a temporary sibling file which is fsynced and then ``os.replace``-d
     over ``path``: readers either see the old file or the complete new one,
     never a prefix.  File-like destinations are written directly (no
@@ -421,14 +416,13 @@ def save_trace(trace: Trace, path, compression: str = "none") -> None:
             f"unknown trace compression {compression!r}"
             f" (choose from {', '.join(COMPRESSION_CODECS)})"
         )
-    packed = pack_trace(trace)
     if compression == "none":
         writer = _write_packed
     else:
         _codec_compress(compression)  # fail fast on unavailable codecs
         writer = lambda fh, tr: _write_compressed(fh, tr, compression)  # noqa: E731
     if not isinstance(path, (str, os.PathLike)):
-        writer(path, packed)
+        writer(path, trace)
         return
     dest = os.fspath(path)
     dirpath = os.path.dirname(dest) or "."
@@ -437,7 +431,7 @@ def save_trace(trace: Trace, path, compression: str = "none") -> None:
     )
     try:
         with os.fdopen(fd, "wb") as fh:
-            writer(fh, packed)
+            writer(fh, trace)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, dest)
@@ -490,8 +484,8 @@ def _packed_array(header: dict, name: str, getter, file_bytes: int, data_start: 
     return getter(dtype, shape, data_start + offset, count)
 
 
-def _assemble_packed(header: dict, fetch) -> PackedTrace:
-    """Build a :class:`PackedTrace` of views over the fetched arrays."""
+def _assemble_packed(header: dict, fetch) -> Trace:
+    """Build a :class:`Trace` of views over the fetched arrays."""
     nprocs = int(header["nprocs"])
     labels = header["labels"]
     if not isinstance(labels, list):
@@ -500,9 +494,7 @@ def _assemble_packed(header: dict, fetch) -> PackedTrace:
 
     # ``index`` stays at its stored width (int32 in practice): the decode
     # arithmetic upcasts element-wise, so widening here would only add a
-    # full-column copy — and break cross-process page sharing for the
-    # parallel replay workers, which rely on every worker mapping the same
-    # read-only file pages.
+    # full-column copy of the mapped file.
     index = fetch("index")
     access_offsets = fetch("access_offsets")
     burst_region = fetch("burst_region")
@@ -542,7 +534,7 @@ def _assemble_packed(header: dict, fetch) -> PackedTrace:
         ):
             raise TraceCorruptError(f"packed trace {name} do not tile the columns")
 
-    trace = PackedTrace(nprocs=nprocs)
+    trace = Trace(nprocs=nprocs)
     for r in header["regions"]:
         trace.regions.append(
             RegionSpec(str(r["name"]), int(r["num_objects"]), int(r["object_size"]))
@@ -567,7 +559,7 @@ def _assemble_packed(header: dict, fetch) -> PackedTrace:
     return trace
 
 
-def _load_packed_path(path: str, mmap: bool) -> PackedTrace:
+def _load_packed_path(path: str, mmap: bool) -> Trace:
     file_bytes = os.path.getsize(path)
     with open(path, "rb") as fh:
         preamble = fh.read(len(_MAGIC) + 8)
@@ -597,7 +589,7 @@ def _load_packed_path(path: str, mmap: bool) -> PackedTrace:
     return _assemble_packed(header, fetch)
 
 
-def _load_packed_buffer(blob: bytes) -> PackedTrace:
+def _load_packed_buffer(blob: bytes) -> Trace:
     header, data_start = _parse_packed_header(blob)
     if header["version"] == _COMPRESSED_VERSION:
         return _assemble_compressed(header, data_start, len(blob), blob=blob)
@@ -619,7 +611,7 @@ def _load_packed_buffer(blob: bytes) -> PackedTrace:
 class _ChunkStore:
     """Lazy, LRU-bounded reader of a v3 bundle's compressed column chunks.
 
-    One store is shared by every epoch of a :class:`LazyPackedTrace`.
+    One store is shared by every epoch of a :class:`LazyTrace`.
     ``get(column, epoch)`` decompresses on demand — a positioned read of
     the chunk's byte extent, CRC-32 verification, decompress, decode
     (cumsum for the delta-encoded index) — and caches the result, evicting
@@ -787,7 +779,7 @@ class LazyPackedEpoch(PackedEpoch):
         return self._store.get("burst_length", self._ei)
 
 
-class LazyPackedTrace(PackedTrace):
+class LazyTrace(Trace):
     """A v3 (compressed) trace; epochs decode their chunks on demand.
 
     Decoded consistency-unit streams are still memoized per trace, but
@@ -811,8 +803,8 @@ def _assemble_compressed(
     *,
     path: str | None = None,
     blob: bytes | None = None,
-) -> LazyPackedTrace:
-    """Build a :class:`LazyPackedTrace` over a v3 bundle.
+) -> LazyTrace:
+    """Build a :class:`LazyTrace` over a v3 bundle.
 
     Meta arrays (offset tables, work/locks) load eagerly and are checked
     structurally exactly like v2; every chunk's byte extent is verified
@@ -890,7 +882,7 @@ def _assemble_compressed(
                 )
 
     store = _ChunkStore(codec, chunks, data_start, path=path, blob=blob)
-    trace = LazyPackedTrace(nprocs=nprocs, store=store)
+    trace = LazyTrace(nprocs=nprocs, store=store)
     for r in header["regions"]:
         trace.regions.append(
             RegionSpec(str(r["name"]), int(r["num_objects"]), int(r["object_size"]))
@@ -912,135 +904,30 @@ def _assemble_compressed(
 
 
 # --------------------------------------------------------------------------
-# Legacy (version 1) compressed-npz format
-# --------------------------------------------------------------------------
-
-
-def _serialize(trace: Trace) -> dict[str, np.ndarray]:
-    header = {
-        "version": _LEGACY_NPZ_VERSION,
-        "nprocs": trace.nprocs,
-        "regions": [
-            {"name": r.name, "num_objects": r.num_objects, "object_size": r.object_size}
-            for r in trace.regions
-        ],
-        "epochs": [
-            {
-                "label": e.label,
-                "work": np.asarray(e.work).tolist(),
-                "locks": np.asarray(e.lock_acquires).tolist(),
-            }
-            for e in trace.epochs
-        ],
-    }
-    arrays: dict[str, np.ndarray] = {}
-    for ei, epoch in enumerate(trace.epochs):
-        for p in range(trace.nprocs):
-            bursts = epoch.bursts[p]
-            if not bursts:
-                continue
-            key = f"e{ei}_p{p}"
-            arrays[f"{key}_regions"] = np.array(
-                [b.region for b in bursts], dtype=np.int32
-            )
-            arrays[f"{key}_writes"] = np.array(
-                [b.is_write for b in bursts], dtype=np.bool_
-            )
-            arrays[f"{key}_lengths"] = np.array(
-                [len(b) for b in bursts], dtype=np.int64
-            )
-            arrays[f"{key}_indices"] = (
-                np.concatenate([b.indices for b in bursts])
-                if bursts
-                else np.empty(0, dtype=np.int64)
-            )
-    arrays["header"] = np.frombuffer(
-        json.dumps(header).encode("utf-8"), dtype=np.uint8
-    )
-    return arrays
-
-
-def save_trace_npz(trace: Trace, path) -> None:
-    """Write ``trace`` in the legacy compressed ``.npz`` format, atomically.
-
-    Kept for interoperability with files produced before the packed format
-    (and as the measurable baseline in the pipeline benchmark).  Appends a
-    ``.npz`` suffix when missing, matching ``np.savez_compressed``.
-    """
-    arrays = _serialize(trace)
-    if not isinstance(path, (str, os.PathLike)):
-        np.savez_compressed(path, **arrays)
-        return
-    dest = os.fspath(path)
-    if not dest.endswith(".npz"):
-        dest += ".npz"  # match np.savez_compressed's filename behaviour
-    dirpath = os.path.dirname(dest) or "."
-    fd, tmp = tempfile.mkstemp(
-        dir=dirpath, prefix=os.path.basename(dest) + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, dest)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
-def _deserialize(data) -> Trace:
-    header = json.loads(bytes(data["header"].tobytes()).decode("utf-8"))
-    if header.get("version") != _LEGACY_NPZ_VERSION:
-        raise TraceVersionError(
-            f"unsupported trace format version {header.get('version')!r}"
-            f" (expected {_LEGACY_NPZ_VERSION})"
-        )
-    trace = Trace(nprocs=int(header["nprocs"]))
-    for r in header["regions"]:
-        trace.regions.append(
-            RegionSpec(r["name"], int(r["num_objects"]), int(r["object_size"]))
-        )
-    for ei, emeta in enumerate(header["epochs"]):
-        epoch = Epoch(nprocs=trace.nprocs, label=emeta["label"])
-        epoch.work = np.array(emeta["work"], dtype=np.float64)
-        epoch.lock_acquires = np.array(emeta["locks"], dtype=np.int64)
-        for p in range(trace.nprocs):
-            key = f"e{ei}_p{p}"
-            if f"{key}_regions" not in data:
-                continue
-            regions = data[f"{key}_regions"]
-            writes = data[f"{key}_writes"]
-            lengths = data[f"{key}_lengths"]
-            indices = data[f"{key}_indices"]
-            offsets = np.concatenate([[0], np.cumsum(lengths)])
-            for bi in range(regions.shape[0]):
-                epoch.bursts[p].append(
-                    Burst(
-                        int(regions[bi]),
-                        indices[offsets[bi] : offsets[bi + 1]],
-                        bool(writes[bi]),
-                    )
-                )
-        trace.epochs.append(epoch)
-    return trace
-
-
-# --------------------------------------------------------------------------
 # Loader (sniffs the format)
 # --------------------------------------------------------------------------
 
 
-def load_trace(path, mmap: bool = True, validate: bool = True) -> Trace:
-    """Read a trace written by :func:`save_trace` (or the legacy writer).
+def _check_magic(magic: bytes) -> None:
+    """Reject anything that is not a packed bundle, naming what it is."""
+    if magic == _MAGIC:
+        return
+    if magic.startswith(_ZIP_MAGIC):
+        raise TraceVersionError(
+            "trace file is a format v1 (.npz) archive; only packed format"
+            f" versions {_FORMAT_VERSION} and {_COMPRESSED_VERSION} are"
+            " readable — regenerate the file"
+        )
+    raise TraceCorruptError(f"not a packed trace bundle (magic {magic!r})")
 
-    The format is sniffed from the file magic: packed bundles load as
-    zero-copy :class:`PackedTrace` views — mmap-backed when ``mmap=True``
-    and ``path`` names a file on disk — while legacy ``.npz`` archives
-    deserialize eagerly into burst lists.  ``validate=False`` skips the
+
+def load_trace(path, mmap: bool = True, validate: bool = True) -> Trace:
+    """Read a trace written by :func:`save_trace`.
+
+    Packed bundles load as zero-copy views — mmap-backed when ``mmap=True``
+    and ``path`` names a file on disk.  ``validate=False`` skips the
     content check (index ranges) but never the structural one.  Compressed
-    (v3) bundles load as :class:`LazyPackedTrace`; their structural and
+    (v3) bundles load as :class:`LazyTrace`; their structural and
     chunk-bounds checks always run at load, and ``validate=True`` adds a
     CRC pass over the compressed chunk bytes (cheap — no decompression),
     so a damaged bundle fails here (and the trace cache quarantines it)
@@ -1048,30 +935,24 @@ def load_trace(path, mmap: bool = True, validate: bool = True) -> Trace:
     to chunk decode, which would decompress the whole file.
 
     Raises :class:`repro.errors.TraceCorruptError` if the file cannot be
-    parsed back into a valid trace (truncated file, garbled bytes, bad
-    header, out-of-range indices...), and its subclass
-    :class:`repro.errors.TraceVersionError` on a format-version mismatch.
-    A missing file still raises ``FileNotFoundError``.
+    parsed back into a valid trace (unknown magic, truncated file, garbled
+    bytes, bad header, out-of-range indices...), and its subclass
+    :class:`repro.errors.TraceVersionError` on a format-version mismatch,
+    including a format-v1 ``.npz`` file.  A missing file still raises
+    ``FileNotFoundError``.
     """
     try:
         if isinstance(path, (str, os.PathLike)):
             fspath = os.fspath(path)
             with open(fspath, "rb") as fh:
-                magic = fh.read(len(_MAGIC))
-            if magic == _MAGIC:
-                trace = _load_packed_path(fspath, mmap=mmap)
-            else:
-                with np.load(fspath) as data:
-                    trace = _deserialize(data)
+                _check_magic(fh.read(len(_MAGIC)))
+            trace = _load_packed_path(fspath, mmap=mmap)
         else:
             blob = path.read()
-            if blob[: len(_MAGIC)] == _MAGIC:
-                trace = _load_packed_buffer(blob)
-            else:
-                with np.load(_io.BytesIO(blob)) as data:
-                    trace = _deserialize(data)
+            _check_magic(blob[: len(_MAGIC)])
+            trace = _load_packed_buffer(blob)
         if validate:
-            if isinstance(trace, LazyPackedTrace):
+            if isinstance(trace, LazyTrace):
                 trace.chunk_store.verify_crcs()
             else:
                 trace.validate()

@@ -148,9 +148,8 @@ class Layout:
 
         Equivalent to ``units_batch(np.repeat(burst_region, burst_length),
         indices, unit)`` but the region attributes are gathered at burst
-        granularity and repeated — the packed trace's per-access ``region``
-        column never has to be materialized, which is what keeps the packed
-        replay path ahead of the burst-list one.
+        granularity and repeated — the epoch's per-access ``region``
+        column never has to be materialized.
         """
         if not _is_pow2(unit):
             raise ValueError("unit must be a power of two")
@@ -249,42 +248,30 @@ class DecodedEpoch:
 def decode_epoch(epoch, layout: Layout, unit: int) -> DecodedEpoch:
     """Decode every processor's access stream of one epoch to unit ids.
 
-    Packed epochs decode at burst granularity (:meth:`Layout.units_batch_bursts`
-    over zero-copy column slices) — the derived per-access ``region`` and
-    ``is_write`` columns are never materialized.  Burst-list epochs fall
-    back to the per-access ``flat``/``units_batch`` path.
+    Decodes at burst granularity (:meth:`Layout.units_batch_bursts` over
+    zero-copy column slices) — the derived per-access ``region`` and
+    ``is_write`` columns are never materialized.
     """
     units: list[np.ndarray] = []
     counts: list[np.ndarray | None] = []
-    packed = hasattr(epoch, "burst_offsets")
     for p in range(epoch.nprocs):
-        if packed:
-            lo, hi = int(epoch.offsets[p]), int(epoch.offsets[p + 1])
-            if hi == lo:
-                units.append(np.empty(0, dtype=np.int64))
-                counts.append(None)
-                continue
-            b0, b1 = int(epoch.burst_offsets[p]), int(epoch.burst_offsets[p + 1])
-            u, c = layout.units_batch_bursts(
-                epoch.burst_region[b0:b1],
-                epoch.burst_length[b0:b1],
-                epoch.index[lo:hi],
-                unit,
-                return_counts=True,
-            )
-            n = hi - lo
-        else:
-            regs, idx, _writes = epoch.flat(p)
-            if idx.shape[0] == 0:
-                units.append(np.empty(0, dtype=np.int64))
-                counts.append(None)
-                continue
-            u, c = layout.units_batch(regs, idx, unit, return_counts=True)
-            n = idx.shape[0]
+        lo, hi = int(epoch.offsets[p]), int(epoch.offsets[p + 1])
+        if hi == lo:
+            units.append(np.empty(0, dtype=np.int64))
+            counts.append(None)
+            continue
+        b0, b1 = int(epoch.burst_offsets[p]), int(epoch.burst_offsets[p + 1])
+        u, c = layout.units_batch_bursts(
+            epoch.burst_region[b0:b1],
+            epoch.burst_length[b0:b1],
+            epoch.index[lo:hi],
+            unit,
+            return_counts=True,
+        )
         units.append(u)
         # All-ones counts mean the stream is access-aligned; storing None
         # lets ``expand`` skip the np.repeat copy entirely.
-        counts.append(None if u.shape[0] == n else c)
+        counts.append(None if u.shape[0] == hi - lo else c)
     return DecodedEpoch(units=units, counts=counts)
 
 

@@ -1,40 +1,30 @@
-"""Columnar (packed) trace representation.
+"""Columnar epoch representation.
 
-:class:`repro.trace.events.Epoch` stores accesses as Python lists of
-:class:`Burst` objects — convenient to build, expensive to consume: every
-``flat()`` call re-concatenates the burst arrays, every simulator pass
-walks Python objects, and serialization has to reassemble thousands of
-small arrays.  This module is the columnar counterpart:
-
-* a :class:`PackedEpoch` holds one epoch as CSR-style *columns* — three
-  per-access arrays (``region``, ``index``, ``is_write``) plus a
-  ``(nprocs + 1)`` offset table — so ``flat(proc)`` is an O(1) slice
-  returning zero-copy views, and ``accesses(proc)`` is a subtraction;
-* a :class:`PackedTrace` is a :class:`Trace` whose epochs are packed; its
-  ``validate()`` is a vectorized per-region min/max over the columns and
-  its ``total_accesses`` reads the offset tables.
-
-Burst boundaries are preserved in side columns (``burst_region``,
-``burst_write``, ``burst_length``) so the classic ``epoch.bursts[p]``
-list-of-:class:`Burst` API keeps working as a lazily built compatibility
-view; the Burst ``indices`` are views into the packed ``index`` column,
-not copies.
+A :class:`PackedEpoch` holds one barrier-separated epoch as CSR-style
+*columns* — the per-access ``index`` column plus a ``(nprocs + 1)`` offset
+table, with burst boundaries kept in side columns (``burst_region``,
+``burst_write``, ``burst_length``).  ``flat(proc)`` is an O(1) slice
+returning zero-copy views, ``accesses(proc)`` is a subtraction, and the
+per-access ``region``/``is_write`` columns are derived from the burst
+columns on first use.  A read-only ``epoch.bursts[p]`` view rebuilds the
+per-processor :class:`Burst` lists; the Burst ``indices`` are views into
+the ``index`` column, not copies.
 
 Packed epochs are *sealed*: the columns are built once (at
-:meth:`repro.trace.builder.TraceBuilder.barrier` time or by
-:func:`pack_trace`) and never mutated afterwards.  That immutability is
+:meth:`repro.trace.builder.TraceBuilder.barrier` time or by the loader in
+:mod:`repro.trace.io`) and never mutated afterwards.  That immutability is
 what makes the zero-copy pipeline safe — simulators, the decode memo
-(:mod:`repro.trace.layout`), and mmap-loaded traces
-(:mod:`repro.trace.io`) all share the same buffers.
+(:mod:`repro.trace.layout`), and mmap-loaded traces all share the same
+buffers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .events import Burst, Epoch, RegionSpec, Trace
+from .events import Burst
 
-__all__ = ["PackedEpoch", "PackedTrace", "pack_epoch", "pack_trace", "unpack_trace"]
+__all__ = ["PackedEpoch"]
 
 
 class PackedEpoch:
@@ -51,10 +41,15 @@ class PackedEpoch:
     burst_offsets:
         ``(nprocs + 1,)`` int64 into the burst columns.
     burst_region, burst_write, burst_length:
-        Per-burst columns (the original burst structure, kept for the
-        ``bursts`` compatibility view and for serialization).
-    work, lock_acquires, label, nprocs:
-        As on :class:`Epoch`.
+        Per-burst columns: the burst structure, kept for the ``bursts``
+        view, for burst-granularity decoding and for serialization.
+    work:
+        ``work[p]`` — abstract compute units (e.g. pair interactions)
+        performed by processor ``p``; drives the timing model.
+    lock_acquires:
+        ``lock_acquires[p]`` — number of lock acquisitions by ``p``.
+    label:
+        Phase name for per-phase breakdowns (paper's Table 4).
     """
 
     __slots__ = (
@@ -216,7 +211,7 @@ class PackedEpoch:
             lock_acquires=lock_acquires,
         )
 
-    # ---- Epoch-compatible API --------------------------------------------
+    # ---- access views ----------------------------------------------------
     def accesses(self, proc: int) -> int:
         """Total object accesses by processor ``proc`` — O(1)."""
         return int(self.offsets[proc + 1] - self.offsets[proc])
@@ -226,15 +221,6 @@ class PackedEpoch:
         lo = self.offsets[proc]
         hi = self.offsets[proc + 1]
         return self.region[lo:hi], self.index[lo:hi], self.is_write[lo:hi]
-
-    def burst_slice(self, proc: int) -> tuple[int, int, int, int]:
-        """``(lo, hi, b0, b1)`` bounds of ``proc`` in the access/burst columns."""
-        return (
-            int(self.offsets[proc]),
-            int(self.offsets[proc + 1]),
-            int(self.burst_offsets[proc]),
-            int(self.burst_offsets[proc + 1]),
-        )
 
     def write_flags(self, proc: int) -> np.ndarray:
         """Per-access write flags for ``proc``, built from the burst columns.
@@ -256,11 +242,11 @@ class PackedEpoch:
 
     @property
     def bursts(self) -> list[list[Burst]]:
-        """Compatibility view: per-proc :class:`Burst` lists.
+        """Read-only view: per-proc :class:`Burst` lists.
 
         Built lazily on first use; the Burst ``indices`` are slices of the
         packed ``index`` column (no copies).  Code on the hot path should
-        use :meth:`flat` instead.
+        use :meth:`flat` or the burst columns instead.
         """
         if self._bursts is None:
             out: list[list[Burst]] = []
@@ -314,106 +300,3 @@ class PackedEpoch:
             raise ValueError("packed epoch burst lengths do not cover the accesses")
         if self.work.shape != (n,) or self.lock_acquires.shape != (n,):
             raise ValueError("packed epoch work/lock arrays have wrong shape")
-
-
-class PackedTrace(Trace):
-    """A :class:`Trace` whose epochs are :class:`PackedEpoch` columns.
-
-    Drop-in for every consumer of :class:`Trace` (the ``bursts`` view keeps
-    legacy code working); simulators and statistics detect the packed form
-    and take zero-copy vectorized paths, sharing decodings through the
-    per-trace memo in :mod:`repro.trace.layout`.
-    """
-
-    @property
-    def total_accesses(self) -> int:
-        return sum(e.total_accesses for e in self.epochs)
-
-    def validate(self) -> None:
-        """Vectorized consistency check over the packed columns.
-
-        Works at burst granularity — a per-burst min/max via ``reduceat``
-        against the burst's region limit — so it never materializes the
-        derived per-access region column.
-        """
-        nregions = len(self.regions)
-        limits = np.fromiter(
-            (r.num_objects for r in self.regions), dtype=np.int64, count=nregions
-        )
-        for e in self.epochs:
-            if e.nprocs != self.nprocs:
-                raise ValueError("epoch/trace processor count mismatch")
-            e.check_structure()
-            breg = np.asarray(e.burst_region)
-            if breg.shape[0] == 0:
-                continue
-            rmin = int(breg.min())
-            rmax = int(breg.max())
-            if rmin < 0 or rmax >= nregions:
-                raise ValueError(
-                    f"burst references unknown region {rmin if rmin < 0 else rmax}"
-                )
-            blen = np.asarray(e.burst_length)
-            nz = blen > 0
-            if not nz.any():
-                continue
-            starts = np.empty(blen.shape[0], dtype=np.int64)
-            starts[0] = 0
-            np.cumsum(blen[:-1], out=starts[1:])
-            nz_starts = starts[nz]
-            bmin = np.minimum.reduceat(e.index, nz_starts)
-            bmax = np.maximum.reduceat(e.index, nz_starts)
-            lim = limits[breg[nz]]
-            bad = (bmin < 0) | (bmax >= lim)
-            if bad.any():
-                spec = self.regions[int(breg[nz][int(np.argmax(bad))])]
-                raise ValueError(
-                    f"burst indices out of range for region {spec.name!r}"
-                )
-
-
-def pack_epoch(epoch: Epoch) -> PackedEpoch:
-    """Seal a burst-list :class:`Epoch` into a :class:`PackedEpoch`."""
-    staged = [
-        [(b.region, b.is_write, b.indices) for b in epoch.bursts[p]]
-        for p in range(epoch.nprocs)
-    ]
-    return PackedEpoch.seal(
-        epoch.nprocs,
-        epoch.label,
-        staged,
-        np.asarray(epoch.work, dtype=np.float64).copy(),
-        np.asarray(epoch.lock_acquires, dtype=np.int64).copy(),
-    )
-
-
-def pack_trace(trace: Trace) -> PackedTrace:
-    """Columnar copy of ``trace`` (no-op views if it is already packed)."""
-    if isinstance(trace, PackedTrace):
-        return trace
-    packed = PackedTrace(nprocs=trace.nprocs)
-    packed.regions = list(trace.regions)
-    packed.epochs = [pack_epoch(e) for e in trace.epochs]
-    return packed
-
-
-def unpack_trace(trace: Trace) -> Trace:
-    """Burst-list copy of a (possibly packed) trace.
-
-    Used by equivalence tests and the pipeline benchmark's burst-list
-    baseline; the Burst index arrays are fresh copies, so the result has
-    no aliasing with the packed columns (or an underlying mmap).
-    """
-    out = Trace(nprocs=trace.nprocs)
-    out.regions = list(trace.regions)
-    for e in trace.epochs:
-        epoch = Epoch(nprocs=e.nprocs, label=e.label)
-        epoch.work = np.asarray(e.work, dtype=np.float64).copy()
-        epoch.lock_acquires = np.asarray(e.lock_acquires, dtype=np.int64).copy()
-        for p in range(e.nprocs):
-            epoch.bursts[p] = [
-                Burst(b.region, np.array(b.indices, dtype=np.int64), b.is_write)
-                for b in e.bursts[p]
-            ]
-        out.epochs.append(epoch)
-    return out

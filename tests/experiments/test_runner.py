@@ -192,7 +192,7 @@ class TestRunOne:
 
         a = run_one("moldyn", "original", "origin", tiny)
         b = run_one("moldyn", "original", "origin",
-                    replace(tiny, extra={"engine": "loop", "emit": "loop"}))
+                    replace(tiny, extra={"engine": "loop"}))
         assert a is b
 
 

@@ -169,20 +169,24 @@ def test_simulators_are_deterministic(trace):
 def test_burst_splitting_invariance_for_dsm(trace):
     """DSM accounting depends on per-epoch page sets, not burst shapes:
     splitting every burst in two must not change messages or bytes."""
-    from repro.trace.events import Burst, Epoch, Trace
+    from repro.trace.builder import TraceBuilder
 
-    split = Trace(nprocs=trace.nprocs, regions=list(trace.regions))
-    for e in trace.epochs:
-        ne = Epoch(nprocs=e.nprocs, label=e.label)
-        ne.work = e.work.copy()
-        ne.lock_acquires = e.lock_acquires.copy()
+    labels = [e.label for e in trace.epochs]
+    tb = TraceBuilder(trace.nprocs, label=labels[0] if labels else "")
+    for r in trace.regions:
+        tb.add_region(r.name, r.num_objects, r.object_size)
+    record = {True: tb.write, False: tb.read}
+    for ei, e in enumerate(trace.epochs):
         for p in range(e.nprocs):
             for b in e.bursts[p]:
                 half = max(len(b) // 2, 1)
-                ne.bursts[p].append(Burst(b.region, b.indices[:half], b.is_write))
-                if len(b) > half:
-                    ne.bursts[p].append(Burst(b.region, b.indices[half:], b.is_write))
-        split.epochs.append(ne)
+                record[b.is_write](p, b.region, b.indices[:half])
+                record[b.is_write](p, b.region, b.indices[half:])
+            tb.work(p, float(e.work[p]))
+            tb.lock(p, int(e.lock_acquires[p]))
+        tb.barrier(labels[ei + 1] if ei + 1 < len(labels) else "")
+    split = tb.finish()
+    assert len(split.epochs) == len(trace.epochs)
     params = cluster_scaled(nprocs=max(trace.nprocs, 2))
     a = simulate_treadmarks(trace, params)
     b = simulate_treadmarks(split, params)

@@ -56,7 +56,7 @@ class TestFileFaults:
             load_trace(saved)
 
     def test_wrong_format_version(self, tmp_path):
-        path = tmp_path / "future.npz"
+        path = tmp_path / "future.npt"
         write_with_version(path, version=99)
         with pytest.raises(TraceVersionError, match="version"):
             load_trace(path)

@@ -65,6 +65,11 @@ class TestRoundtrip:
             "moldyn", "hilbert", replace(scale, extra={"engine": "loop"}), 16
         )
         assert same == plain and "_x" not in plain.filename()
+        # Skipping emission changes the trace, so it keys apart.
+        no_emit = _cache_key_for(
+            "moldyn", "hilbert", replace(scale, extra={"emit": "none"}), 16
+        )
+        assert no_emit != plain
         knobbed = _cache_key_for(
             "moldyn", "hilbert", replace(scale, extra={"adapt_every": 1}), 16
         )
@@ -113,7 +118,7 @@ class TestQuarantine:
         assert cache.quarantined == 1
 
     def test_missing_sidecar_quarantined(self, cache):
-        """An interrupted store (npz but no sidecar) is regenerated."""
+        """An interrupted store (bundle but no sidecar) is regenerated."""
         cache.store(KEY, make_trace())
         cache._sidecar(KEY).unlink()
         assert cache.load(KEY) is None

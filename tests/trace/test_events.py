@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.trace.events import Burst, Epoch, RegionSpec, Trace
+from repro.trace.builder import TraceBuilder
+from repro.trace.events import Burst, RegionSpec, Trace
+from repro.trace.packed import PackedEpoch
 
 
 class TestRegionSpec:
@@ -28,47 +30,67 @@ class TestBurst:
             Burst(0, np.zeros((2, 2)), is_write=True)
 
 
+def seal_one(nprocs, record=lambda tb: None, nregions=2) -> PackedEpoch:
+    """One epoch sealed by a builder after ``record(tb)`` stages its bursts."""
+    tb = TraceBuilder(nprocs)
+    for r in range(nregions):
+        tb.add_region(f"r{r}", 100, 8)
+    record(tb)
+    tb.barrier()
+    return tb.finish().epochs[0]
+
+
 class TestEpoch:
     def test_default_arrays(self):
-        e = Epoch(nprocs=4)
+        e = seal_one(4)
         assert len(e.bursts) == 4
-        assert e.work.shape == (4,)
-        assert e.lock_acquires.shape == (4,)
+        assert e.work.shape == (4,) and not e.work.any()
+        assert e.lock_acquires.shape == (4,) and not e.lock_acquires.any()
 
     def test_accesses_counts_multiplicity(self):
-        e = Epoch(nprocs=2)
-        e.bursts[0].append(Burst(0, [1, 1, 2], is_write=False))
-        e.bursts[0].append(Burst(0, [3], is_write=True))
+        def record(tb):
+            tb.read(0, 0, [1, 1, 2])
+            tb.write(0, 0, [3])
+
+        e = seal_one(2, record)
         assert e.accesses(0) == 4
         assert e.accesses(1) == 0
 
     def test_flat_preserves_order(self):
-        e = Epoch(nprocs=1)
-        e.bursts[0].append(Burst(0, [5, 6], is_write=False))
-        e.bursts[0].append(Burst(1, [7], is_write=True))
-        regions, indices, writes = e.flat(0)
+        def record(tb):
+            tb.read(0, 0, [5, 6])
+            tb.write(0, 1, [7])
+
+        regions, indices, writes = seal_one(1, record).flat(0)
         assert regions.tolist() == [0, 0, 1]
         assert indices.tolist() == [5, 6, 7]
         assert writes.tolist() == [False, False, True]
 
     def test_flat_empty(self):
-        regions, indices, writes = Epoch(nprocs=1).flat(0)
+        regions, indices, writes = seal_one(1).flat(0)
         assert regions.shape == (0,)
 
     def test_rejects_zero_procs(self):
         with pytest.raises(ValueError):
-            Epoch(nprocs=0)
+            PackedEpoch.seal(0, "", [], np.zeros(0), np.zeros(0, dtype=np.int64))
 
 
 class TestTrace:
-    def make(self) -> Trace:
+    def make(self, extra=()) -> Trace:
+        """Two-region trace; ``extra`` stages more (region, is_write,
+        indices) bursts for processor 1, unchecked, so tests can seal
+        damaged epochs that ``TraceBuilder.finish`` would refuse."""
         t = Trace(nprocs=2)
         t.regions.append(RegionSpec("bodies", 10, 8))
         t.regions.append(RegionSpec("cells", 4, 16))
-        e = Epoch(nprocs=2, label="forces")
-        e.bursts[0].append(Burst(0, [0, 1], is_write=True))
-        e.work[0] = 5.0
-        t.epochs.append(e)
+        staged = [
+            [(0, True, np.array([0, 1], dtype=np.int64))],
+            [(r, w, np.array(idx, dtype=np.int64)) for r, w, idx in extra],
+        ]
+        work = np.array([5.0, 0.0])
+        t.epochs.append(
+            PackedEpoch.seal(2, "forces", staged, work, np.zeros(2, dtype=np.int64))
+        )
         return t
 
     def test_region_id(self):
@@ -79,6 +101,7 @@ class TestTrace:
 
     def test_totals(self):
         t = self.make()
+        t.validate()
         assert t.total_accesses == 2
         assert t.total_work == 5.0
 
@@ -88,19 +111,17 @@ class TestTrace:
         assert t.epochs_labelled("nope") == []
 
     def test_validate_catches_bad_region(self):
-        t = self.make()
-        t.epochs[0].bursts[1].append(Burst(9, [0], is_write=False))
+        t = self.make([(9, False, [0])])
         with pytest.raises(ValueError, match="unknown region"):
             t.validate()
 
     def test_validate_catches_out_of_range_index(self):
-        t = self.make()
-        t.epochs[0].bursts[1].append(Burst(0, [99], is_write=False))
+        t = self.make([(0, False, [99])])
         with pytest.raises(ValueError, match="out of range"):
             t.validate()
 
     def test_validate_catches_nproc_mismatch(self):
         t = self.make()
-        t.epochs.append(Epoch(nprocs=3))
+        t.epochs.append(seal_one(3))
         with pytest.raises(ValueError, match="mismatch"):
             t.validate()

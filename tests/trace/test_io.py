@@ -1,11 +1,16 @@
-"""Tests for trace serialization (packed ``.npt`` bundles + legacy ``.npz``)."""
+"""Tests for trace serialization (packed ``.npt`` bundles)."""
+
+import io
+import json
 
 import numpy as np
 import pytest
 
+from repro.errors import TraceCorruptError, TraceVersionError
+from repro.runtime.faults import write_with_version
 from repro.trace.builder import TraceBuilder
-from repro.trace.io import load_trace, save_trace, save_trace_npz
-from repro.trace.packed import PackedTrace
+from repro.trace.events import Trace
+from repro.trace.io import load_trace, save_trace
 
 
 def roundtrip(trace, tmp_path, mmap=True):
@@ -39,7 +44,7 @@ class TestRoundtrip:
 
     def test_loads_as_packed_views(self, tmp_path):
         t2 = roundtrip(make_trace(), tmp_path)
-        assert isinstance(t2, PackedTrace)
+        assert isinstance(t2, Trace)
         # flat() is a view into the mapped columns, not a copy.
         regs, idx, writes = t2.epochs[0].flat(0)
         assert np.shares_memory(idx, t2.epochs[0].index)
@@ -77,7 +82,7 @@ class TestRoundtrip:
     def test_mmap_false_loads_in_memory(self, tmp_path):
         t = make_trace()
         t2 = roundtrip(t, tmp_path, mmap=False)
-        assert isinstance(t2, PackedTrace)
+        assert isinstance(t2, Trace)
         assert not isinstance(t2.epochs[0].index, np.memmap)
         assert t2.total_accesses == t.total_accesses
 
@@ -90,13 +95,8 @@ class TestRoundtrip:
         assert t2.nprocs == 2
 
     def test_version_check(self, tmp_path):
-        import json
-
-        path = tmp_path / "bad.npz"
-        header = np.frombuffer(
-            json.dumps({"version": 99}).encode(), dtype=np.uint8
-        )
-        np.savez_compressed(path, header=header)
+        path = tmp_path / "bad.npt"
+        write_with_version(path, version=99)
         with pytest.raises(ValueError, match="version"):
             load_trace(path)
 
@@ -105,28 +105,36 @@ class TestRoundtrip:
         t2.validate()
 
 
+def _write_v1_npz(path, version=1):
+    """A file in the retired v1 layout: a zip of arrays with a JSON header."""
+    header = json.dumps({"version": version, "nprocs": 1, "regions": [], "epochs": []})
+    with open(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
+            e0_p0_indices=np.arange(8, dtype=np.int64),
+        )
+
+
 class TestLegacyNpz:
-    """The legacy compressed format stays readable (and writable)."""
+    """Format v1 ``.npz`` files are no longer read, and say so."""
 
-    def test_roundtrip_via_legacy_writer(self, tmp_path):
-        t = make_trace()
+    def test_v1_npz_is_version_error(self, tmp_path):
         path = tmp_path / "t.npz"
-        save_trace_npz(t, path)
-        t2 = load_trace(path)
-        assert not isinstance(t2, PackedTrace)  # eager burst lists
-        assert t2.nprocs == t.nprocs
-        assert t2.total_accesses == t.total_accesses
-        for e, e2 in zip(t.epochs, t2.epochs):
-            for p in range(t.nprocs):
-                for b, b2 in zip(e.bursts[p], e2.bursts[p]):
-                    assert b.region == b2.region
-                    assert b.is_write == b2.is_write
-                    assert np.array_equal(b.indices, b2.indices)
+        _write_v1_npz(path)
+        with pytest.raises(TraceVersionError, match="v1") as exc:
+            load_trace(path)
+        assert "regenerate" in str(exc.value)
+        with open(path, "rb") as fh:
+            with pytest.raises(TraceVersionError, match="v1"):
+                load_trace(fh)
 
-    def test_appends_npz_suffix_like_numpy(self, tmp_path):
-        save_trace_npz(make_trace(), tmp_path / "bare")
-        assert (tmp_path / "bare.npz").exists()
-        load_trace(tmp_path / "bare.npz").validate()
+    def test_unknown_magic_is_corruption_not_version(self, tmp_path):
+        path = tmp_path / "t.npt"
+        path.write_bytes(b"NOTATRACE" + bytes(64))
+        with pytest.raises(TraceCorruptError) as exc:
+            load_trace(path)
+        assert not isinstance(exc.value, TraceVersionError)
 
 
 class TestAtomicity:
@@ -161,8 +169,6 @@ class TestAtomicity:
 
 class TestCorruption:
     def test_truncated_file_is_structured_error(self, tmp_path):
-        from repro.errors import TraceCorruptError
-
         path = tmp_path / "t.npt"
         save_trace(make_trace(), path)
         data = path.read_bytes()
@@ -171,10 +177,9 @@ class TestCorruption:
             load_trace(path)
 
     def test_truncated_legacy_npz(self, tmp_path):
-        from repro.errors import TraceCorruptError
-
+        """A cut-off v1 archive is still a structured error, never a crash."""
         path = tmp_path / "t.npz"
-        save_trace_npz(make_trace(), path)
+        _write_v1_npz(path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(TraceCorruptError):
@@ -187,15 +192,8 @@ class TestCorruption:
             load_trace(path)
 
     def test_version_mismatch_is_structured(self, tmp_path):
-        import json
-
-        from repro.errors import TraceVersionError
-
-        path = tmp_path / "bad.npz"
-        header = np.frombuffer(
-            json.dumps({"version": 99}).encode(), dtype=np.uint8
-        )
-        np.savez_compressed(path, header=header)
+        path = tmp_path / "bad.npt"
+        write_with_version(path, version=99)
         with pytest.raises(TraceVersionError, match="version"):
             load_trace(path)
 
@@ -203,23 +201,26 @@ class TestCorruption:
         with pytest.raises(FileNotFoundError):
             load_trace(tmp_path / "absent.npt")
 
-    def test_out_of_range_indices_are_corruption(self, tmp_path):
-        """A structurally valid file whose payload violates the trace
-        invariants is corruption too (validate() runs on load)."""
-        from repro.errors import TraceCorruptError
+    def test_out_of_range_indices_are_corruption(self):
+        """A structurally valid bundle whose payload violates the trace
+        invariants is corruption too (validate() runs on load) — here on
+        the in-memory (file-like) load path."""
+        from repro.trace.io import _parse_packed_header
 
-        path = tmp_path / "t.npz"
-        save_trace_npz(make_trace(), path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        # Point some burst indices far outside every region.
-        for k in arrays:
-            if k.endswith("_indices"):
-                arrays[k] = arrays[k] + 10_000_000
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+        buf = io.BytesIO()
+        save_trace(make_trace(), buf)
+        blob = bytearray(buf.getvalue())
+        header, data_start = _parse_packed_header(bytes(blob))
+        spec = header["arrays"]["index"]
+        off = data_start + spec["offset"]
+        dtype = np.dtype(spec["dtype"])
+        idx = np.frombuffer(
+            bytes(blob[off : off + spec["shape"][0] * dtype.itemsize]), dtype=dtype
+        )
+        # Point every index far outside every region.
+        blob[off : off + idx.nbytes] = (idx + 10_000_000).tobytes()
         with pytest.raises(TraceCorruptError):
-            load_trace(path)
+            load_trace(io.BytesIO(bytes(blob)))
 
     def test_out_of_range_indices_packed(self, tmp_path):
         """Same invariant check on a packed bundle: scribble the index

@@ -1,11 +1,15 @@
-"""Property tests: packed-vs-burst equivalence and decode-memo behaviour.
+"""Property tests: the sealed columns against the recorded ops, and
+decode-memo behaviour.
 
-The packed representation, the mmap loader, and the simulators' packed
-fast paths must be *invisible*: every counter a simulator or statistic
-produces on a packed trace must equal, byte for byte, what the burst-list
-path produces on the equivalent burst trace — across randomized traces
-with locks, work, empty processors and empty epochs.
+Randomized traces with locks, work, empty processors and empty epochs are
+recorded through :class:`TraceBuilder`; the sealed epochs must reproduce
+the recorded bursts exactly, the statistics must match a plain per-burst
+reference computed from the op list, and the simulators must produce
+identical counters whichever way the same accesses are staged (per-burst
+calls or ragged batches) or stored (in memory, mmap, compressed v3).
 """
+
+import io
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,9 +19,10 @@ from repro.machines import simulate_hardware, simulate_hlrc, simulate_treadmarks
 from repro.machines.params import cluster_scaled, origin2000_scaled
 from repro.trace import stats
 from repro.trace.builder import TraceBuilder
+from repro.trace.events import Trace
 from repro.trace.io import load_trace, save_trace
 from repro.trace.layout import Layout, decode_memo
-from repro.trace.packed import PackedTrace
+from repro.trace.packed import PackedEpoch
 
 
 @st.composite
@@ -52,47 +57,70 @@ def trace_ops(draw):
     return nprocs, regions, epochs
 
 
-def build_pair(ops):
-    """Replay one op list through a packed and a burst-list builder."""
+def build(ops, ragged=False):
+    """Replay one op list through a builder, per-burst or as ragged batches."""
     nprocs, regions, epochs = ops
-    traces = []
-    for packed in (True, False):
-        tb = TraceBuilder(nprocs, label="e0", packed=packed)
-        for name, count, size in regions:
-            tb.add_region(name, count, size)
-        for ei, (bursts, work, locks) in enumerate(epochs):
-            for p, region, write, idx in bursts:
+    tb = TraceBuilder(nprocs, label="e0")
+    for name, count, size in regions:
+        tb.add_region(name, count, size)
+    for ei, (bursts, work, locks) in enumerate(epochs):
+        for p, region, write, idx in bursts:
+            if ragged:
+                col = np.array(idx, dtype=np.int64)
+                tb.emit_ragged(p, [(region, write, col, [0, col.shape[0]])])
+            else:
                 (tb.write if write else tb.read)(p, region, idx)
-            for p in range(nprocs):
-                if work[p]:
-                    tb.work(p, work[p])
-                if locks[p]:
-                    tb.lock(p, locks[p])
-            if ei < len(epochs) - 1:
-                tb.barrier(f"e{ei + 1}")
-        traces.append(tb.finish())
-    return traces  # [packed, burst]
+        for p in range(nprocs):
+            if work[p]:
+                tb.work(p, work[p])
+            if locks[p]:
+                tb.lock(p, locks[p])
+        if ei < len(epochs) - 1:
+            tb.barrier(f"e{ei + 1}")
+    return tb.finish()
+
+
+def recorded(ops):
+    """Per kept epoch: per-proc lists of the non-empty recorded bursts."""
+    nprocs, _regions, epochs = ops
+    out = []
+    for ei, (bursts, work, locks) in enumerate(epochs):
+        per_proc = [[] for _ in range(nprocs)]
+        for p, region, write, idx in bursts:
+            if idx:
+                per_proc[p].append((region, write, idx))
+        # finish() drops a trailing epoch with nothing recorded in it.
+        last = ei == len(epochs) - 1
+        if last and not (any(per_proc) or any(work) or any(locks)):
+            break
+        out.append((f"e{ei}", per_proc, work, locks))
+    return out
 
 
 @given(trace_ops())
 @settings(max_examples=100, deadline=None)
 def test_structural_equivalence(ops):
-    packed, burst = build_pair(ops)
-    assert isinstance(packed, PackedTrace)
-    assert packed.total_accesses == burst.total_accesses
-    assert len(packed.epochs) == len(burst.epochs)
-    for pe, be in zip(packed.epochs, burst.epochs):
-        assert pe.label == be.label
-        np.testing.assert_array_equal(pe.work, be.work)
-        np.testing.assert_array_equal(pe.lock_acquires, be.lock_acquires)
-        for p in range(packed.nprocs):
-            assert pe.accesses(p) == be.accesses(p)
-            for a, b in zip(pe.flat(p), be.flat(p)):
-                np.testing.assert_array_equal(a, b)
-            assert len(pe.bursts[p]) == len(be.bursts[p])
-            for ba, bb in zip(pe.bursts[p], be.bursts[p]):
-                assert ba.region == bb.region and ba.is_write == bb.is_write
-                np.testing.assert_array_equal(ba.indices, bb.indices)
+    trace = build(ops)
+    expected = recorded(ops)
+    assert isinstance(trace, Trace)
+    assert len(trace.epochs) == len(expected)
+    total = 0
+    for e, (label, per_proc, work, locks) in zip(trace.epochs, expected):
+        assert isinstance(e, PackedEpoch)
+        assert e.label == label
+        np.testing.assert_array_equal(e.work, work)
+        np.testing.assert_array_equal(e.lock_acquires, locks)
+        for p in range(trace.nprocs):
+            bursts = per_proc[p]
+            regs, idx, writes = e.flat(p)
+            assert regs.tolist() == [r for r, _, i in bursts for _ in i]
+            assert idx.tolist() == [x for _, _, i in bursts for x in i]
+            assert writes.tolist() == [w for _, w, i in bursts for _ in i]
+            assert e.accesses(p) == idx.shape[0]
+            total += idx.shape[0]
+            view = [(b.region, b.is_write, b.indices.tolist()) for b in e.bursts[p]]
+            assert view == bursts
+    assert trace.total_accesses == total
 
 
 def assert_simulators_agree(a, b):
@@ -117,44 +145,69 @@ def assert_simulators_agree(a, b):
 @given(trace_ops())
 @settings(max_examples=25, deadline=None)
 def test_simulator_equivalence(ops):
-    packed, burst = build_pair(ops)
-    assert_simulators_agree(packed, burst)
+    """Ragged staging and the compressed v3 bundle (lazily decoded epochs)
+    drive the simulators exactly like per-burst staging."""
+    trace = build(ops)
+    assert_simulators_agree(build(ops, ragged=True), trace)
+    buf = io.BytesIO()
+    save_trace(trace, buf, compression="zlib")
+    buf.seek(0)
+    assert_simulators_agree(load_trace(buf), trace)
+
+
+def reference_stats(ops, layout):
+    """Statistics computed burst by burst from the op list."""
+    nprocs, _regions, epochs = ops
+    writers: dict[int, set[int]] = {}
+    readers: dict[int, set[int]] = {}
+    owner = np.full(layout.regions[0].num_objects, -1, dtype=np.int64)
+    lines: set[int] = set()
+    reads = np.zeros(nprocs, dtype=np.int64)
+    writes = np.zeros(nprocs, dtype=np.int64)
+    for bursts, _work, _locks in epochs:
+        for p, region, write, idx in bursts:
+            if not idx:
+                continue
+            col = np.array(idx, dtype=np.int64)
+            for pg in layout.pages(region, col, 4096).tolist():
+                readers.setdefault(pg, set()).add(p)
+                if write:
+                    writers.setdefault(pg, set()).add(p)
+            lines.update(layout.lines(region, col, 128).tolist())
+            (writes if write else reads)[p] += len(idx)
+        # Within an epoch the lowest-numbered writer of an object wins.
+        for p, region, write, idx in sorted(bursts, key=lambda b: -b[0]):
+            if write and region == 0 and idx:
+                owner[idx] = p
+    return writers, readers, owner, len(lines), reads, writes
 
 
 @given(trace_ops())
 @settings(max_examples=25, deadline=None)
 def test_stats_equivalence(ops):
-    packed, burst = build_pair(ops)
-    layout_p = Layout.for_trace(packed)
-    layout_b = Layout.for_trace(burst)
-    ws_p = stats.page_write_sets(packed, layout_p, 4096)
-    ws_b = stats.page_write_sets(burst, layout_b, 4096)
-    assert ws_p == ws_b
-    assert stats.page_read_sets(packed, layout_p, 4096) == stats.page_read_sets(
-        burst, layout_b, 4096
-    )
-    np.testing.assert_array_equal(
-        stats.update_map(packed, layout_p, 0), stats.update_map(burst, layout_b, 0)
-    )
-    assert stats.footprint(packed, layout_p, 128) == stats.footprint(
-        burst, layout_b, 128
-    )
-    ca, cb = stats.access_counts(packed), stats.access_counts(burst)
-    np.testing.assert_array_equal(ca.reads, cb.reads)
-    np.testing.assert_array_equal(ca.writes, cb.writes)
+    trace = build(ops)
+    layout = Layout.for_trace(trace)
+    writers, readers, owner, nlines, reads, writes = reference_stats(ops, layout)
+    assert stats.page_write_sets(trace, layout, 4096) == writers
+    assert stats.page_read_sets(trace, layout, 4096) == readers
+    np.testing.assert_array_equal(stats.update_map(trace, layout, 0), owner)
+    assert stats.footprint(trace, layout, 128) == nlines
+    counts = stats.access_counts(trace)
+    np.testing.assert_array_equal(counts.reads, reads)
+    np.testing.assert_array_equal(counts.writes, writes)
 
 
 @given(ops=trace_ops())
 @settings(max_examples=10, deadline=None)
 def test_mmap_equivalence(ops, tmp_path_factory):
     """A mmap-loaded trace produces identical results to the in-memory one."""
-    packed, _ = build_pair(ops)
+    trace = build(ops)
     path = tmp_path_factory.mktemp("mmap") / "t.npt"
-    save_trace(packed, path)
+    save_trace(trace, path)
     mapped = load_trace(path, mmap=True)
-    assert_simulators_agree(mapped, packed)
+    assert_simulators_agree(mapped, trace)
     in_memory = load_trace(path, mmap=False)
-    assert_simulators_agree(in_memory, packed)
+    assert_simulators_agree(in_memory, trace)
 
 
 class TestDecodeMemo:

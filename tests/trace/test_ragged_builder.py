@@ -1,16 +1,19 @@
-"""Ragged (CSR) burst emission: equivalence with per-burst loops.
+"""Ragged (CSR) burst emission: equivalence with per-burst calls.
 
 The contract under test: any sequence of ``emit_ragged`` /
 ``read_ragged`` / ``write_ragged`` / ``update_ragged`` calls produces a
 trace **byte-identical** to the equivalent sequence of per-burst
 ``read`` / ``write`` calls — same packed columns, same ``.npt`` bundle,
-same legacy burst lists — with zero-length bursts dropped identically.
-That equivalence is what lets the applications swap their per-object
-emit loops for batched CSR staging without perturbing a single
-downstream statistic.
+same ``bursts`` view — with zero-length bursts dropped identically.
+The applications stage only ragged batches; their bundles are pinned to
+sha256 digests recorded while the per-object emit loops they replaced
+still ran beside them and produced the same bytes.
 """
 
+import hashlib
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,8 +69,8 @@ def ragged_programs(draw):
     return nprocs, epochs
 
 
-def _build(nprocs, epochs, ragged, packed):
-    tb = TraceBuilder(nprocs, label="e0", packed=packed)
+def _build(nprocs, epochs, ragged):
+    tb = TraceBuilder(nprocs, label="e0")
     for region, size in enumerate(REGION_SIZES):
         tb.add_region(f"r{region}", size, 8 * (region + 1))
     for e, calls in enumerate(epochs):
@@ -109,7 +112,7 @@ def test_ragged_matches_loop_packed_bytes(program):
     nprocs, epochs = program
     bufs = []
     for ragged in (False, True):
-        trace = _build(nprocs, epochs, ragged, packed=True)
+        trace = _build(nprocs, epochs, ragged)
         buf = io.BytesIO()
         save_trace(trace, buf)
         bufs.append(buf.getvalue())
@@ -119,10 +122,11 @@ def test_ragged_matches_loop_packed_bytes(program):
 @given(ragged_programs())
 @settings(max_examples=60, deadline=None)
 def test_ragged_matches_loop_legacy_bursts(program):
-    """The legacy burst-list path expands ragged batches identically."""
+    """The read-only ``bursts`` view (the legacy burst-list form) of a
+    ragged-staged trace matches the one per-burst calls produce."""
     nprocs, epochs = program
-    a = _build(nprocs, epochs, False, packed=False)
-    b = _build(nprocs, epochs, True, packed=False)
+    a = _build(nprocs, epochs, False)
+    b = _build(nprocs, epochs, True)
     assert len(a.epochs) == len(b.epochs)
     for ea, eb in zip(a.epochs, b.epochs):
         assert ea.label == eb.label
@@ -180,7 +184,7 @@ def test_uniform_width_offsets():
 
 def test_update_ragged_interleaves_read_write():
     """update_ragged gives R0 W0 R1 W1 ..., not bulk read then bulk write."""
-    tb = TraceBuilder(1, packed=False)
+    tb = TraceBuilder(1)
     tb.add_region("r", 100, 8)
     tb.update_ragged(0, 0, np.array([1, 2, 3]), np.array([0, 2, 3]))
     trace = tb.finish()
@@ -208,7 +212,7 @@ def test_zero_length_bursts_dropped_and_empty_stages_nothing():
 
 
 def test_record_does_not_copy_contiguous_int64():
-    """The satellite fix: staging a contiguous int64 array is zero-copy."""
+    """Staging a contiguous int64 array is zero-copy."""
     tb = _builder()
     idx = np.arange(10, dtype=np.int64)
     tb.read(0, 0, idx)
@@ -219,7 +223,7 @@ def test_record_does_not_copy_contiguous_int64():
     assert np.shares_memory(tb._staged[0][1][2], idx)
 
 
-# ---- application-level equivalence --------------------------------------
+# ---- application-level pins ------------------------------------------------
 
 APP_CASES = [
     ("barnes_hut", BarnesHut, dict(n=96, nprocs=4, iterations=2, seed=7)),
@@ -229,16 +233,22 @@ APP_CASES = [
     ("unstructured", Unstructured, dict(n=80, nprocs=4, iterations=2, seed=7)),
 ]
 
+#: sha256 of each app's v2 ``.npt`` bundle at seeds 7 and 42, keyed
+#: ``"<app>-seed<seed>"``.
+BUNDLE_DIGESTS = json.loads(
+    (Path(__file__).parents[1] / "data" / "bundle_digests.json").read_text()
+)
+
 
 @pytest.mark.parametrize("name,app_cls,kw", APP_CASES, ids=[c[0] for c in APP_CASES])
 def test_apps_loop_and_ragged_traces_byte_identical(name, app_cls, kw):
-    bundles = []
-    for mode in ("loop", "ragged"):
-        app = app_cls(AppConfig(extra={"emit": mode}, **kw))
+    """Ragged emission still produces the bundles the per-object loops did."""
+    for seed in (7, 42):
+        app = app_cls(AppConfig(**{**kw, "seed": seed}))
         buf = io.BytesIO()
         save_trace(app.run(), buf)
-        bundles.append(buf.getvalue())
-    assert bundles[0] == bundles[1]
+        digest = hashlib.sha256(buf.getvalue()).hexdigest()
+        assert digest == BUNDLE_DIGESTS[f"{name}-seed{seed}"], f"{name} seed {seed}"
 
 
 @pytest.mark.parametrize("name,app_cls,kw", APP_CASES, ids=[c[0] for c in APP_CASES])
