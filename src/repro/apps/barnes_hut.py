@@ -33,7 +33,7 @@ from ..trace.events import Trace
 from .base import AppConfig, Application
 from .distributions import two_plummer
 from .numerics import bh_forces_batch, bh_walk_forces_loop, subtree_spans
-from .octree import build_octree, walk
+from .octree import build_octree, walk_per_body
 
 __all__ = ["BarnesHut"]
 
@@ -219,19 +219,29 @@ class BarnesHut(Application):
             # 3. Force evaluation.  The per-body CSR interaction streams
             # are the access pattern itself, computed even when emission
             # is off.  The loop engine is the paper's formulation — one
-            # recursive walk and force fold per particle; the batch engine
-            # runs the vectorized frontier walk and column-wise bincount
-            # forces.
+            # recursive walk and force fold per particle in Python; the
+            # batch engine runs the compiled per-body walk (or its numpy
+            # frontier fallback) and column-wise bincount forces over the
+            # streams, grouped by body in visit order.
             # Both produce bitwise-identical accelerations, costs, and
             # interaction streams (tests/apps/test_numerics.py).
             order = np.concatenate(parts) if P > 1 else parts[0]
             if self.engine == "batch":
                 with self._phys("walk"):
-                    wr = walk(tree, self.pos, self.theta)
+                    csr = walk_per_body(tree, self.pos, self.theta, order)
                 with self._phys("forces"):
-                    acc = bh_forces_batch(tree, self.pos, self.mass, wr, self.eps)
-                    cost = wr.interactions_per_body(n).astype(np.float64)
-                    csr = wr.per_body_csr(n, order=order)
+                    ci, cbounds, do, dbounds = csr
+                    ccount, dcount = np.diff(cbounds), np.diff(dbounds)
+                    acc = bh_forces_batch(
+                        tree,
+                        self.pos,
+                        self.mass,
+                        (np.repeat(order, ccount), ci),
+                        (np.repeat(order, dcount), do),
+                        self.eps,
+                    )
+                    cost = np.empty(n, dtype=np.float64)
+                    cost[order] = ccount + dcount
             else:
                 with self._phys("walk_forces"):
                     acc, icount, csr = bh_walk_forces_loop(

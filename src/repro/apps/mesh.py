@@ -50,16 +50,29 @@ class Mesh:
         )
 
 
-def _canonical(edges: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.unique(np.sort(edges, axis=1), axis=0)
+def _canonical(
+    edges: np.ndarray, faces: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort each row, drop duplicate and degenerate rows, order rows
+    lexicographically.
+
+    A sorted row over ``n`` nodes packs into one int64 key (``a*n + b``,
+    ``(a*n + b)*n + c``) whose numeric order is the rows' lexicographic
+    order, so a 1-D ``np.unique`` both deduplicates and sorts.
+    """
+    if n**3 >= 2**63:
+        raise ValueError(f"{n} nodes overflow the int64 face keys")
+    e = np.sort(edges, axis=1)
+    key = np.unique(e[:, 0] * n + e[:, 1])
+    edges = np.stack([key // n, key % n], axis=1)
     edges = edges[edges[:, 0] != edges[:, 1]]
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     if faces.shape[0]:
-        faces = np.unique(np.sort(faces, axis=1), axis=0)
+        f = np.sort(faces, axis=1)
+        key = np.unique((f[:, 0] * n + f[:, 1]) * n + f[:, 2])
+        faces = np.stack([key // (n * n), key // n % n, key % n], axis=1)
         faces = faces[
             (faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2])
         ]
-        faces = faces[np.lexsort((faces[:, 2], faces[:, 1], faces[:, 0]))]
     return edges, faces
 
 
@@ -74,7 +87,7 @@ def delaunay_mesh(points: np.ndarray) -> Mesh:
     edges = np.concatenate([simp[:, [a, b]] for a, b in pairs], axis=0)
     trips = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     faces = np.concatenate([simp[:, list(t)] for t in trips], axis=0)
-    edges, faces = _canonical(edges, faces)
+    edges, faces = _canonical(edges, faces, points.shape[0])
     return Mesh(points=points, edges=edges, faces=faces)
 
 
@@ -107,7 +120,7 @@ def knn_mesh(points: np.ndarray, k: int = 8) -> Mesh:
                 if (a, b) in adj:
                     tri_list.append((i, a, b))
     faces = np.array(tri_list, dtype=np.int64) if tri_list else np.empty((0, 3), np.int64)
-    edges, faces = _canonical(edges, faces)
+    edges, faces = _canonical(edges, faces, points.shape[0])
     return Mesh(points=points, edges=edges, faces=faces)
 
 

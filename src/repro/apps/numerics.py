@@ -45,7 +45,7 @@ from .base import (
     resolve_engine,
     scatter_add,
 )
-from .octree import Octree, WalkResult
+from .octree import Octree
 
 __all__ = [
     "ENGINES",
@@ -262,25 +262,33 @@ def subtree_spans(tree: Octree) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bh_forces_batch(
-    tree: Octree, pos: np.ndarray, mass: np.ndarray, wr: WalkResult, eps: float
+    tree: Octree,
+    pos: np.ndarray,
+    mass: np.ndarray,
+    cells: tuple[np.ndarray, np.ndarray],
+    direct: tuple[np.ndarray, np.ndarray],
+    eps: float,
 ) -> np.ndarray:
-    """Accelerations from the walk's interaction lists, column-wise.
+    """Accelerations from the walk's interaction pair streams, column-wise.
 
+    ``cells`` is ``(body, cell)`` far-field pairs and ``direct`` is
+    ``(body, other)`` near-field pairs, each body's pairs in its walk
+    order: either the frontier walk's global lists (ascending step) or
+    the per-body CSR streams with ``body = np.repeat(order, counts)``.
     Same math as the per-body oracle in :func:`bh_walk_forces_loop`:
     column-wise distance terms (bitwise-equal to a row reduce over 3
     columns, and far faster) and per-column ``bincount`` scatters whose
-    per-body accumulation order is the walk's visit order — the pair
-    streams are emitted in ascending step order, which per body *is* the
-    DFS visit order, so the bincount fold matches the oracle's sequential
-    fold exactly.
+    per-body accumulation order is the stream order — per body the DFS
+    visit order — so the bincount fold matches the oracle's sequential
+    fold exactly, however the bodies interleave.
     """
     n = pos.shape[0]
     eps2 = eps * eps
     poscols = [np.ascontiguousarray(pos[:, k]) for k in range(3)]
     comcols = [np.ascontiguousarray(tree.com[:, k]) for k in range(3)]
     acc = np.zeros((n, 3))
-    if wr.cell_body.shape[0]:
-        cb, ci = wr.cell_body, wr.cell_id
+    cb, ci = cells
+    if cb.shape[0]:
         dx = comcols[0].take(ci) - poscols[0].take(cb)
         dy = comcols[1].take(ci) - poscols[1].take(cb)
         dz = comcols[2].take(ci) - poscols[2].take(cb)
@@ -289,8 +297,8 @@ def bh_forces_batch(
         acc[:, 0] = np.bincount(cb, weights=mag * dx, minlength=n)
         acc[:, 1] = np.bincount(cb, weights=mag * dy, minlength=n)
         acc[:, 2] = np.bincount(cb, weights=mag * dz, minlength=n)
-    if wr.direct_body.shape[0]:
-        db, do = wr.direct_body, wr.direct_other
+    db, do = direct
+    if db.shape[0]:
         dx = poscols[0].take(do) - poscols[0].take(db)
         dy = poscols[1].take(do) - poscols[1].take(db)
         dz = poscols[2].take(do) - poscols[2].take(db)

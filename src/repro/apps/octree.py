@@ -6,13 +6,16 @@ arrays in *creation order* (the order a sequential builder appends them to
 the shared cell array), which is the memory layout whose interaction with
 particle ordering the paper studies.
 
-The force-evaluation walk is vectorized over particles: a frontier of
+The force walk's production path is the compiled per-body walk
+(:func:`repro.machines.native.bh_walk`, dispatched by
+:func:`walk_per_body`): one recursive DFS per particle, written straight
+into per-body CSR streams.  :func:`walk` is its numpy fallback (used when
+no C compiler is available) and its test reference: a frontier of
 (cell, particle-set) pairs descends the tree, splitting each set into
 particles that accept the cell under the opening criterion and particles
-that open it.  The walk returns flat interaction pair lists annotated with
-visit step, from which per-particle traversal sequences (what the real
-per-particle recursive walk would touch, in order) are reconstructed for the
-trace.
+that open it.  It returns flat interaction pair lists annotated with visit
+step, from which :meth:`WalkResult.per_body_csr` reconstructs the same
+per-particle traversal sequences.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Octree", "WalkResult", "build_octree", "walk"]
+from ..machines import native
+
+__all__ = ["Octree", "WalkResult", "build_octree", "walk", "walk_per_body"]
 
 
 @dataclass
@@ -393,3 +398,18 @@ def walk(
         direct_other=cat(direct_other),
         direct_step=cat(direct_step),
     )
+
+
+def walk_per_body(
+    tree: Octree, pos: np.ndarray, theta: float, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The walk's per-body CSR streams, rows following ``order``.
+
+    Returns ``(cell_ids, cell_bounds, direct_others, direct_bounds)`` as
+    :meth:`WalkResult.per_body_csr` does.  Runs the compiled per-body walk
+    when the native library is available, else the frontier :func:`walk`;
+    both yield identical arrays (``tests/apps/test_numerics.py``).
+    """
+    if native.available():
+        return native.bh_walk(tree, pos, theta, order)
+    return walk(tree, pos, theta).per_body_csr(pos.shape[0], order=order)

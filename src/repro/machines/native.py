@@ -1,15 +1,15 @@
-"""Compiled exact LRU replay: per-set LRU and per-set Mattson stack.
+"""Compiled kernels: exact LRU cache replay and the Barnes-Hut walk.
 
-Both cache replays the simulators run per access live here as a small C
-library, kept as a source string so packaging is unchanged.  On first
-use the library is built with the system C compiler (``$CC``, else
-``cc`` or ``gcc``) into ``$XDG_CACHE_HOME/repro/kernels/`` (default
-``~/.cache/repro/kernels/``) and loaded with :mod:`ctypes`, which adds no
-dependency and releases the GIL during calls.  The file name hashes the
-source, the compiler's ``--version`` banner and the flags, and the build
-writes a temporary file that ``os.replace`` moves into place, so
-concurrent first uses (executor workers) are safe and a changed source
-or compiler rebuilds.
+The per-access cache replays the simulators run and the per-body
+Barnes-Hut force walk live here as one small C library, kept as a source
+string so packaging is unchanged.  On first use the library is built with
+the system C compiler (``$CC``, else ``cc`` or ``gcc``) into
+``$XDG_CACHE_HOME/repro/kernels/`` (default ``~/.cache/repro/kernels/``)
+and loaded with :mod:`ctypes`, which adds no dependency and releases the
+GIL during calls.  The file name hashes the source, the compiler's
+``--version`` banner and the flags, and the build writes a temporary file
+that ``os.replace`` moves into place, so concurrent first uses (executor
+workers) are safe and a changed source or compiler rebuilds.
 
 Entry points:
 
@@ -18,10 +18,14 @@ Entry points:
 * :func:`mattson_replay` — the same per-set stack, with each tracked key
   carrying ``mdepth``, the deepest position it has reached since its last
   access (see :class:`repro.machines.kernels.SetAssocSweep`).
+* :func:`bh_walk` — one recursive DFS per body over the octree, written
+  straight into per-body CSR interaction streams (a counting pass, then a
+  fill pass).  Its opening test is bitwise-equal to the numpy frontier
+  walk :func:`repro.apps.octree.walk`; the forces stay in numpy.
 
 With no working compiler :func:`available` is False and :func:`require`
 raises :class:`repro.errors.ConfigError`; callers fall back to the
-``"loop"`` engines.
+``"loop"`` cache engines and to the numpy frontier walk.
 """
 
 from __future__ import annotations
@@ -39,9 +43,12 @@ import numpy as np
 
 from ..errors import ConfigError
 
-__all__ = ["available", "require", "build", "lru_replay", "mattson_replay"]
+__all__ = [
+    "available", "require", "build", "lru_replay", "mattson_replay", "bh_walk",
+]
 
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -141,9 +148,80 @@ int64_t mattson_replay(const int64_t *keys, int64_t n, int64_t nsets,
     free(fill);
     return o;
 }
+
+/* Barnes-Hut force walk: one recursive DFS per body, for the bodies in
+   order[0..n), over a 3-D octree in creation order (children is nc x 8,
+   -1 for none; a leaf's members are leaf_bodies[leaf_start[c]..][0..count)).
+   Children are pushed in reverse so they pop in creation order.  A leaf
+   interacts directly with each member but the body itself; an inner cell
+   is accepted when 2*half < theta*dist and the body is outside it, else
+   opened.  The opening test repeats the numpy frontier walk's arithmetic
+   operation for operation, so both take the same branches.  Row j of the
+   CSR covers order[j]: cbounds/dbounds (n + 1 entries) are always written,
+   cell_ids/direct_others only when not NULL (the fill pass after a
+   counting pass).  Returns 0, or -1 if out of memory. */
+int64_t bh_walk(const double *pos, const int64_t *order, int64_t n,
+                const double *com, const double *center, const double *half,
+                const int64_t *children, const uint8_t *is_leaf,
+                const int64_t *leaf_start, const int64_t *leaf_count,
+                const int64_t *leaf_bodies, int64_t ncells, double theta,
+                int64_t *cbounds, int64_t *dbounds,
+                int64_t *cell_ids, int64_t *direct_others)
+{
+    /* A body's walk pushes each cell at most once. */
+    int64_t *stack = malloc((size_t)(ncells + 1) * sizeof *stack);
+    int64_t j, k, nc = 0, nd = 0;
+    if (!stack) return -1;
+    cbounds[0] = dbounds[0] = 0;
+    for (j = 0; j < n; j++) {
+        int64_t b = order[j], top = 0;
+        double bx = pos[3 * b], by = pos[3 * b + 1], bz = pos[3 * b + 2];
+        stack[top++] = 0;
+        while (top) {
+            int64_t c = stack[--top];
+            double dx, dy, dz, d2, ax, ay, az, far;
+            if (is_leaf[c]) {
+                const int64_t *m = leaf_bodies + leaf_start[c];
+                for (k = 0; k < leaf_count[c]; k++) {
+                    if (m[k] == b) continue;
+                    if (direct_others) direct_others[nd] = m[k];
+                    nd++;
+                }
+                continue;
+            }
+            dx = bx - com[3 * c];
+            dy = by - com[3 * c + 1];
+            dz = bz - com[3 * c + 2];
+            d2 = dx * dx;
+            d2 += dy * dy;
+            d2 += dz * dz;
+            ax = fabs(bx - center[3 * c]);
+            ay = fabs(by - center[3 * c + 1]);
+            az = fabs(bz - center[3 * c + 2]);
+            far = ax > ay ? ax : ay;
+            far = far > az ? far : az;
+            if (2.0 * half[c] < theta * sqrt(d2) && !(far <= half[c])) {
+                if (cell_ids) cell_ids[nc] = c;
+                nc++;
+            } else {
+                for (k = 7; k >= 0; k--)
+                    if (children[8 * c + k] >= 0)
+                        stack[top++] = children[8 * c + k];
+            }
+        }
+        cbounds[j + 1] = nc;
+        dbounds[j + 1] = nd;
+    }
+    free(stack);
+    return 0;
+}
 """
 
-_FLAGS = ("-O2", "-shared", "-fPIC")
+# -ffp-contract=off: no fused multiply-adds (the default on targets whose
+# baseline ISA has FMA, e.g. aarch64), so the walk's opening test rounds
+# exactly like numpy's separate multiplies and adds.  -fno-math-errno lets
+# sqrt compile to the (correctly rounded) instruction with no libm call.
+_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 log = logging.getLogger("repro.runtime")
 
@@ -196,7 +274,7 @@ def build(source: str = _SOURCE) -> Path:
             input=source, capture_output=True, text=True,
         )
         if proc.returncode:
-            raise ConfigError(f"compiling the replay kernels failed:\n{proc.stderr}")
+            raise ConfigError(f"compiling the native kernels failed:\n{proc.stderr}")
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
@@ -212,20 +290,24 @@ def _load() -> ctypes.CDLL | None:
             lib = ctypes.CDLL(str(build()))
         except (ConfigError, OSError, subprocess.SubprocessError) as exc:
             _error = str(exc)
-            log.warning("compiled cache replay unavailable, replaying with"
-                        " the slower loop engine: %s", _error)
+            log.warning("compiled kernels (cache replay, Barnes-Hut walk)"
+                        " unavailable, falling back to the slower loop replay"
+                        " and numpy frontier walk: %s", _error)
             return None
         p, i64 = ctypes.c_void_p, ctypes.c_int64
         lib.lru_replay.restype = i64
         lib.lru_replay.argtypes = [p, i64, i64, i64, p, i64, p, p]
         lib.mattson_replay.restype = i64
         lib.mattson_replay.argtypes = [p, i64, i64, i64, p, p, i64, p, p, p]
+        lib.bh_walk.restype = i64
+        lib.bh_walk.argtypes = [p, p, i64, p, p, p, p, p, p, p, p, i64,
+                                ctypes.c_double, p, p, p, p]
         _lib = lib
     return _lib
 
 
 def available() -> bool:
-    """Whether the compiled replay can be used in this process."""
+    """Whether the compiled kernels can be used in this process."""
     return _load() is not None
 
 
@@ -234,8 +316,8 @@ def require() -> ctypes.CDLL:
     lib = _load()
     if lib is None:
         raise ConfigError(
-            f"the compiled cache replay is unavailable ({_error});"
-            " use engine='loop'"
+            f"the compiled kernels (cache replay, Barnes-Hut walk) are"
+            f" unavailable ({_error}); use engine='loop'"
         )
     return lib
 
@@ -308,3 +390,59 @@ def mattson_replay(
     if nout < 0:
         raise MemoryError("mattson_replay: out of memory")
     return hist, okeys[:nout], omd[:nout]
+
+
+def bh_walk(
+    tree, pos: np.ndarray, theta: float, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-body Barnes-Hut walk over a 3-D :class:`~repro.apps.octree.Octree`.
+
+    Returns ``(cell_ids, cell_bounds, direct_others, direct_bounds)``, the
+    tuple ``walk(tree, pos, theta).per_body_csr(n, order=order)`` returns:
+    row ``j`` holds what body ``order[j]`` touches, in its walk order.
+    Raises ``ValueError`` unless ``pos`` is ``(n, 3)`` for the tree's
+    ``n`` bodies, ``order`` a permutation of ``range(n)`` and ``theta``
+    positive.
+    """
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != 3 or tree.ndim != 3:
+        raise ValueError(f"bh_walk needs 3-D positions, got shape {pos.shape}")
+    n = pos.shape[0]
+    if tree.nbodies != n:
+        raise ValueError(f"tree holds {tree.nbodies} bodies, pos {n}")
+    order = _i64(order)
+    if order.shape != (n,) or not (
+        n == 0 or (order.min() >= 0 and order.max() < n
+                   and np.bincount(order, minlength=n).min() == 1)
+    ):
+        raise ValueError("order must be a permutation of range(n)")
+    if not theta > 0:
+        raise ValueError("theta must be positive")
+    lib = require()
+    com = np.ascontiguousarray(tree.com, dtype=np.float64)
+    center = np.ascontiguousarray(tree.center, dtype=np.float64)
+    half = np.ascontiguousarray(tree.half, dtype=np.float64)
+    children = _i64(tree.children)
+    is_leaf = np.ascontiguousarray(tree.is_leaf, dtype=np.uint8)
+    leaf_start, leaf_count = _i64(tree.leaf_start), _i64(tree.leaf_count)
+    leaf_bodies = _i64(tree.leaf_bodies)
+    cbounds = np.empty(n + 1, dtype=np.int64)
+    dbounds = np.empty(n + 1, dtype=np.int64)
+
+    def run(cell_ids, direct_others) -> None:
+        rc = lib.bh_walk(
+            pos.ctypes.data, order.ctypes.data, n, com.ctypes.data,
+            center.ctypes.data, half.ctypes.data, children.ctypes.data,
+            is_leaf.ctypes.data, leaf_start.ctypes.data,
+            leaf_count.ctypes.data, leaf_bodies.ctypes.data, tree.ncells,
+            float(theta), cbounds.ctypes.data, dbounds.ctypes.data,
+            cell_ids, direct_others,
+        )
+        if rc < 0:
+            raise MemoryError("bh_walk: out of memory")
+
+    run(None, None)  # counting pass: the bounds alone
+    cell_ids = np.empty(int(cbounds[n]), dtype=np.int64)
+    direct_others = np.empty(int(dbounds[n]), dtype=np.int64)
+    run(cell_ids.ctypes.data, direct_others.ctypes.data)
+    return cell_ids, cbounds, direct_others, dbounds

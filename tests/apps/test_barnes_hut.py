@@ -18,7 +18,14 @@ class TestPhysics:
         app = small(n=128, theta=0.3)
         tree = build_octree(app.pos, app.mass)
         wr = walk(tree, app.pos, app.theta)
-        acc = bh_forces_batch(tree, app.pos, app.mass, wr, app.eps)
+        acc = bh_forces_batch(
+            tree,
+            app.pos,
+            app.mass,
+            (wr.cell_body, wr.cell_id),
+            (wr.direct_body, wr.direct_other),
+            app.eps,
+        )
         delta = app.pos[None, :, :] - app.pos[:, None, :]
         d2 = (delta**2).sum(-1) + app.eps**2
         f = app.mass[None, :, None] * delta / d2[:, :, None] ** 1.5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.distributions import uniform_box
-from repro.apps.mesh import Mesh, delaunay_mesh, knn_mesh, make_mesh
+from repro.apps.mesh import Mesh, _canonical, delaunay_mesh, knn_mesh, make_mesh
 
 
 class TestDelaunay:
@@ -40,6 +40,35 @@ class TestDelaunay:
         edge_set = {tuple(e) for e in m.edges.tolist()}
         for a, b, c in m.faces[:50].tolist():
             assert (a, b) in edge_set and (b, c) in edge_set and (a, c) in edge_set
+
+
+class TestCanonical:
+    def test_matches_row_unique_and_lexsort(self, rng):
+        """Packed-key canonicalisation equals the row-wise reference."""
+        n = 30
+        edges = rng.integers(0, n, (600, 2))
+        faces = rng.integers(0, n, (600, 3))
+        got_e, got_f = _canonical(edges, faces, n)
+        ref_e = np.unique(np.sort(edges, axis=1), axis=0)
+        ref_e = ref_e[ref_e[:, 0] != ref_e[:, 1]]
+        ref_f = np.unique(np.sort(faces, axis=1), axis=0)
+        ref_f = ref_f[(ref_f[:, 0] != ref_f[:, 1]) & (ref_f[:, 1] != ref_f[:, 2])]
+        assert np.array_equal(got_e, ref_e[np.lexsort((ref_e[:, 1], ref_e[:, 0]))])
+        assert np.array_equal(
+            got_f, ref_f[np.lexsort((ref_f[:, 2], ref_f[:, 1], ref_f[:, 0]))]
+        )
+
+    def test_empty_faces_pass_through(self):
+        faces = np.empty((0, 3), dtype=np.int64)
+        edges, out = _canonical(np.array([[3, 1], [1, 3], [2, 2]]), faces, 4)
+        assert edges.tolist() == [[1, 3]] and out is faces
+
+    def test_rejects_node_counts_that_overflow_the_keys(self):
+        edges = np.array([[0, 1]])
+        faces = np.empty((0, 3), dtype=np.int64)
+        assert _canonical(edges, faces, 2**21 - 1)[0].tolist() == [[0, 1]]
+        with pytest.raises(ValueError, match="overflow"):
+            _canonical(edges, faces, 2**21)
 
 
 class TestKNN:

@@ -5,22 +5,35 @@ agreement: the packed trace bundle must be **byte-identical** across
 engines.  These tests pin
 that end-to-end for all five apps, plus the unit-level equivalences the
 contract is built from: the level-synchronous octree builder, the
-frontier-walk forces, the FMM translation stacks, the interaction-list
+Barnes-Hut walks (frontier, compiled per-body, Python per-body) and
+forces, the FMM translation stacks, the interaction-list
 oracle, and the shared bincount scatter helper.
 """
 
+import hashlib
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import APP_REGISTRY, AppConfig
 from repro.apps import fmm_math as fm
 from repro.apps import numerics as nx
 from repro.apps.base import ENGINES, resolve_engine, scatter_add
 from repro.apps.moldyn import build_interaction_list
+from repro.apps import octree
 from repro.apps.octree import build_octree, walk
+from repro.machines import native
 from repro.trace import save_trace
+
+#: sha256 of each app's v2 ``.npt`` bundle (``tests/trace/test_ragged_builder.py``).
+BUNDLE_DIGESTS = json.loads(
+    (Path(__file__).parents[1] / "data" / "bundle_digests.json").read_text()
+)
 
 SMALL = {
     "barnes-hut": 192,
@@ -181,6 +194,34 @@ class TestOctreeEngines:
                 assert lo[c] == lo[kids].min() and hi[c] == hi[kids].max()
 
 
+def _global_pairs(wr):
+    """The frontier walk's global pair lists, as ``bh_forces_batch`` takes them."""
+    return (wr.cell_body, wr.cell_id), (wr.direct_body, wr.direct_other)
+
+
+def _grouped_pairs(csr, order):
+    """The same pairs from the per-body CSR streams, grouped by body."""
+    ci, cbounds, do, dbounds = csr
+    return (
+        (np.repeat(order, np.diff(cbounds)), ci),
+        (np.repeat(order, np.diff(dbounds)), do),
+    )
+
+
+def _points(kind, n, rng):
+    if kind == "uniform":
+        return rng.random((n, 3))
+    if kind == "clustered":
+        centers = rng.random((3, 3))
+        pos = centers[rng.integers(0, 3, n)] + 0.01 * rng.standard_normal((n, 3))
+        pos[: n // 10] = rng.random((n // 10, 3))  # a sprinkle of outliers
+        return pos
+    pos = rng.random((n, 3))  # coincident: two stacks of identical points
+    pos[: n // 3] = pos[0]
+    pos[n // 3 : n // 2] = 0.25
+    return pos
+
+
 class TestBarnesHutForces:
     def test_frontier_matches_per_body_walk(self, rng):
         n = 300
@@ -192,11 +233,132 @@ class TestBarnesHutForces:
             tree, pos, mass, 0.7, 0.05, order
         )
         wr = walk(tree, pos, 0.7)
-        acc_b = nx.bh_forces_batch(tree, pos, mass, wr, 0.05)
+        acc_b = nx.bh_forces_batch(tree, pos, mass, *_global_pairs(wr), 0.05)
         assert np.array_equal(acc_l, acc_b)
         assert np.array_equal(cost_l, wr.interactions_per_body(n))
-        for x, y in zip(csr_l, wr.per_body_csr(n, order=order)):
+        parties = [wr.per_body_csr(n, order=order)]
+        if native.available():
+            parties.append(native.bh_walk(tree, pos, 0.7, order))
+        for csr in parties:
+            for x, y in zip(csr_l, csr):
+                assert np.array_equal(x, y)
+
+
+@pytest.mark.skipif(not native.available(), reason="no C compiler for the compiled walk")
+class TestCompiledWalk:
+    """The compiled per-body walk against the numpy frontier walk."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "clustered", "coincident"])
+    @pytest.mark.parametrize("theta", [0.2, 0.7, 1.5])
+    @pytest.mark.parametrize("cap", [1, 2, 8])
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 260))
+    def test_matches_frontier_walk(self, kind, theta, cap, seed, n):
+        rng = np.random.default_rng(seed)
+        pos = _points(kind, n, rng)
+        mass = rng.random(n) / n + 1e-3
+        tree = build_octree(pos, mass, leaf_capacity=cap, engine="batch")
+        order = rng.permutation(n)
+        wr = walk(tree, pos, theta)
+        got = native.bh_walk(tree, pos, theta, order)
+        for x, y in zip(wr.per_body_csr(n, order=order), got):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        _, cbounds, _, dbounds = got
+        cost = np.empty(n, dtype=np.int64)
+        cost[order] = np.diff(cbounds) + np.diff(dbounds)
+        assert np.array_equal(cost, wr.interactions_per_body(n))
+        grouped = nx.bh_forces_batch(tree, pos, mass, *_grouped_pairs(got, order), 0.05)
+        flat = nx.bh_forces_batch(tree, pos, mass, *_global_pairs(wr), 0.05)
+        assert np.array_equal(grouped, flat)
+
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+    def test_exact_ties_match_frontier_walk(self, rng, theta):
+        """Integer positions, centers and coms and whole halves make both
+        comparisons of the opening test tie often; the walks must agree
+        on every tie."""
+        n = 400
+        pos = rng.integers(0, 8, (n, 3)).astype(np.float64)
+        tree = build_octree(pos, leaf_capacity=2, engine="batch")
+        tree.center = np.round(tree.center)
+        tree.com = np.round(tree.com)
+        tree.half = np.maximum(np.round(tree.half), 1.0)
+        order = rng.permutation(n)
+        got = native.bh_walk(tree, pos, theta, order)
+        ref = walk(tree, pos, theta).per_body_csr(n, order=order)
+        for x, y in zip(ref, got):
             assert np.array_equal(x, y)
+
+
+class TestCompiledWalkArguments:
+    """Bad arguments are refused in Python, before any call into C."""
+
+    @pytest.fixture
+    def case(self, rng, monkeypatch):
+        def no_c():
+            raise AssertionError("bh_walk called into the library")
+
+        monkeypatch.setattr(native, "require", no_c)
+        pos = rng.random((50, 3))
+        return build_octree(pos), pos
+
+    def test_rejects_non_3d_positions(self, case):
+        tree, pos = case
+        with pytest.raises(ValueError, match="3-D"):
+            native.bh_walk(tree, pos[:, :2], 0.7, np.arange(50))
+        with pytest.raises(ValueError, match="3-D"):
+            native.bh_walk(build_octree(pos[:, :2]), pos[:, :2], 0.7, np.arange(50))
+        with pytest.raises(ValueError, match="3-D"):
+            native.bh_walk(tree, pos.ravel(), 0.7, np.arange(50))
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            np.arange(49),
+            np.arange(51) % 50,
+            np.r_[np.arange(49), 0],
+            np.r_[np.arange(1, 50), 50],
+            np.r_[-1, np.arange(1, 50)],
+            np.arange(50).reshape(5, 10),
+        ],
+        ids=["short", "long", "duplicate", "too-large", "negative", "2-d"],
+    )
+    def test_rejects_non_permutation_order(self, case, order):
+        tree, pos = case
+        with pytest.raises(ValueError, match="permutation"):
+            native.bh_walk(tree, pos, 0.7, order)
+
+    def test_rejects_mismatched_tree_and_theta(self, case):
+        tree, pos = case
+        with pytest.raises(ValueError, match="bodies"):
+            native.bh_walk(tree, pos[:40], 0.7, np.arange(40))
+        with pytest.raises(ValueError, match="theta"):
+            native.bh_walk(tree, pos, 0.0, np.arange(50))
+
+
+class TestWalkFallback:
+    def test_bundles_match_digests_without_library(self, monkeypatch):
+        """With the library hidden the batch engine runs the numpy frontier
+        walk, and both engines still reproduce the pinned bundles."""
+        monkeypatch.setattr(native, "_load", lambda: None)
+        calls = []
+        frontier = octree.walk
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return frontier(*args, **kwargs)
+
+        monkeypatch.setattr(octree, "walk", counted)
+        for seed in (7, 42):
+            for engine in ("batch", "loop"):
+                cfg = AppConfig(
+                    n=96, nprocs=4, iterations=2, seed=seed, extra={"engine": engine}
+                )
+                bio = io.BytesIO()
+                save_trace(APP_REGISTRY["barnes-hut"](cfg).run(), bio)
+                digest = hashlib.sha256(bio.getvalue()).hexdigest()
+                assert digest == BUNDLE_DIGESTS[f"barnes_hut-seed{seed}"], (seed, engine)
+        assert len(calls) == 4  # 2 seeds x 2 iterations, batch engine only
 
 
 class TestFMMNumerics:
