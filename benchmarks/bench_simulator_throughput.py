@@ -174,7 +174,8 @@ def test_kernel_replay_speedup(emit):
     tput_loop = n_loop / t_loop
 
     # Secondary: whole-simulation wall time, decode and classification
-    # included (shared overhead both engines pay identically).
+    # included.  The kernel engine decodes with the compiled front end,
+    # the loop engine with the numpy decode through the memo.
     e2e = {}
     saved = cache_mod.DEFAULT_ENGINE
     try:

@@ -30,6 +30,7 @@ either way, and identical to per-point ``simulate_*`` calls (asserted in
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -183,39 +184,52 @@ def _quarantine_checkpoint(path: Path, reason: str) -> None:
 class SweepGroup:
     """One (trace, geometry family) batch: a single worker task.
 
-    The whole group replays its trace once per line-size family
-    (``origin``) or once per protocol (DSM) regardless of how many grid
-    points it covers.
+    ``platforms`` is ``("origin",)`` or the grid's DSM platforms, in grid
+    order: every DSM protocol of a trace shares one group, and so one
+    trace load and one folded interval ladder.  The whole group replays
+    its trace once per line-size family (``origin``) or builds its
+    intervals once (DSM) regardless of how many grid points it covers.
     """
 
     app: str
     version: str
-    platform: str
+    platforms: tuple[str, ...]
     l2_bytes: tuple[int, ...] | None = None
     line_sizes: tuple[int, ...] | None = None
     page_sizes: tuple[int, ...] | None = None
 
+    @property
+    def is_origin(self) -> bool:
+        return self.platforms == ("origin",)
+
     def points(self) -> int:
-        if self.platform == "origin":
+        if self.is_origin:
             return len(self.l2_bytes or (0,)) * len(self.line_sizes or (0,))
-        return len(self.page_sizes or (0,))
+        return len(self.page_sizes or (0,)) * len(self.platforms)
 
     def key(self, scale: Scale) -> str:
-        """Stable id for executor task keys and resume checkpoints."""
-        blob = json.dumps(
-            {
-                "axes": [self.l2_bytes, self.line_sizes, self.page_sizes],
-                "n": scale.n[self.app],
-                "iterations": scale.iterations[self.app],
-                "nprocs": scale.nprocs,
-                "seed": scale.seed,
-                "hw_scale": scale.hw_scale,
-                "extra": canonical_extra(scale.extra),
-            },
-            sort_keys=True,
-        )
+        """Stable id for executor task keys and resume checkpoints.
+
+        A DSM group's key names ``dsm`` and hashes its protocols, so the
+        per-protocol DSM checkpoints of earlier versions are recomputed,
+        never misread; origin keys are unchanged.
+        """
+        fields = {
+            "axes": [self.l2_bytes, self.line_sizes, self.page_sizes],
+            "n": scale.n[self.app],
+            "iterations": scale.iterations[self.app],
+            "nprocs": scale.nprocs,
+            "seed": scale.seed,
+            "hw_scale": scale.hw_scale,
+            "extra": canonical_extra(scale.extra),
+        }
+        name = "origin"
+        if not self.is_origin:
+            fields["platforms"] = list(self.platforms)
+            name = "dsm"
+        blob = json.dumps(fields, sort_keys=True)
         digest = hashlib.sha1(blob.encode()).hexdigest()[:10]
-        return f"{self.app}_{self.version}_{self.platform}_{digest}"
+        return f"{self.app}_{self.version}_{name}_{digest}"
 
 
 def _group_rows(trace, group: SweepGroup, scale: Scale) -> list[dict]:
@@ -224,14 +238,9 @@ def _group_rows(trace, group: SweepGroup, scale: Scale) -> list[dict]:
     from ..machines.hardware import simulate_hardware_sweep
     from ..machines.params import cluster_scaled
 
-    head = {
-        "app": group.app,
-        "version": group.version,
-        "platform": group.platform,
-        "nprocs": scale.nprocs,
-    }
+    head = {"app": group.app, "version": group.version}
     rows = []
-    if group.platform == "origin":
+    if group.is_origin:
         base = scale.hardware()
         results = simulate_hardware_sweep(
             trace, base, l2_bytes=group.l2_bytes, line_sizes=group.line_sizes
@@ -239,6 +248,8 @@ def _group_rows(trace, group: SweepGroup, scale: Scale) -> list[dict]:
         for res in results:
             rows.append({
                 **head,
+                "platform": "origin",
+                "nprocs": scale.nprocs,
                 "line_size": res.params.line_size,
                 "l2_bytes": res.params.l2_bytes,
                 "l2_assoc": res.params.l2_assoc,
@@ -253,20 +264,21 @@ def _group_rows(trace, group: SweepGroup, scale: Scale) -> list[dict]:
     else:
         base = cluster_scaled(nprocs=scale.nprocs)
         sizes = group.page_sizes or (base.page_size,)
-        out = simulate_dsm_sweep(
-            trace, base, sizes, protocols=(group.platform,)
-        )[group.platform]
-        for size in sizes:
-            res = out[size]
-            rows.append({
-                **head,
-                "page_size": size,
-                "time": res.time,
-                "messages": res.messages,
-                "data_mbytes": res.data_mbytes,
-                "page_fetches": int(res.page_fetches.sum()),
-                "diff_fetches": int(res.diff_fetches.sum()),
-            })
+        out = simulate_dsm_sweep(trace, base, sizes, protocols=group.platforms)
+        for platform in group.platforms:
+            for size in sizes:
+                res = out[platform][size]
+                rows.append({
+                    **head,
+                    "platform": platform,
+                    "nprocs": scale.nprocs,
+                    "page_size": size,
+                    "time": res.time,
+                    "messages": res.messages,
+                    "data_mbytes": res.data_mbytes,
+                    "page_fetches": int(res.page_fetches.sum()),
+                    "diff_fetches": int(res.diff_fetches.sum()),
+                })
     return rows
 
 
@@ -300,44 +312,53 @@ class SweepPlan:
     """Plan and execute a parameter-grid sweep.
 
     ``run()`` returns one row dict per grid point, ordered by
-    (app, version, platform) then row-major over the geometry axes —
-    independent of how many workers ran the groups.
+    (app, version, platform in grid order) then row-major over the
+    geometry axes — independent of how many workers ran the groups.
     """
 
     grid: SweepGrid
     scale: Scale = field(default_factory=Scale)
 
     def groups(self) -> list[SweepGroup]:
+        """Per (app, version): an origin group, then one DSM group covering
+        every DSM platform of the grid (each only if the grid has it)."""
+        dsm = tuple(p for p in self.grid.platforms if p in _DSM_PLATFORMS)
         out = []
         for app in self.grid.apps:
             versions = self.grid.versions or versions_for(app)
             for version in versions:
-                for platform in self.grid.platforms:
-                    if platform == "origin":
-                        out.append(SweepGroup(
-                            app, version, platform,
-                            l2_bytes=self.grid.l2_bytes,
-                            line_sizes=self.grid.line_sizes,
-                        ))
-                    else:
-                        out.append(SweepGroup(
-                            app, version, platform,
-                            page_sizes=self.grid.page_sizes,
-                        ))
+                if "origin" in self.grid.platforms:
+                    out.append(SweepGroup(
+                        app, version, ("origin",),
+                        l2_bytes=self.grid.l2_bytes,
+                        line_sizes=self.grid.line_sizes,
+                    ))
+                if dsm:
+                    out.append(SweepGroup(
+                        app, version, dsm, page_sizes=self.grid.page_sizes,
+                    ))
+        return out
+
+    def _in_grid_order(self, groups: list[SweepGroup], rows_of) -> list[dict]:
+        """Rows by (app, version), then platform in grid order, then the
+        groups' own row order."""
+        rank = {p: i for i, p in enumerate(self.grid.platforms)}
+        out: list[dict] = []
+        for _, trace_groups in itertools.groupby(
+            groups, key=lambda g: (g.app, g.version)
+        ):
+            rows = [row for g in trace_groups for row in rows_of(g)]
+            out.extend(sorted(rows, key=lambda r: rank[r["platform"]]))
         return out
 
     def run(self) -> list[dict]:
         groups = self.groups()
         rt = get_runtime()
         if rt is None or rt.cache is None:
-            return [
-                row
-                for g in groups
-                for row in _group_rows(
-                    _trace_for(g.app, g.version, self.scale, self.scale.nprocs),
-                    g, self.scale,
-                )
-            ]
+            return self._in_grid_order(groups, lambda g: _group_rows(
+                _trace_for(g.app, g.version, self.scale, self.scale.nprocs),
+                g, self.scale,
+            ))
 
         sweep_dir = Path(rt.cache.root) / "sweeps"
         done: dict[str, list[dict]] = {}
@@ -373,7 +394,7 @@ class SweepPlan:
                     sweep_dir / f"{g.key(self.scale)}.json", rows
                 )
                 done[g.key(self.scale)] = rows
-        return [row for g in groups for row in done[g.key(self.scale)]]
+        return self._in_grid_order(groups, lambda g: done[g.key(self.scale)])
 
     def _prefetch(self, groups: list[SweepGroup], rt) -> None:
         """Fan distinct traces out before dispatching sweep batches."""

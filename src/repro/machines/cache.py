@@ -24,7 +24,8 @@ otherwise — the counts are the same either way.  An explicit
 ``engine="kernel"`` with no working C compiler raises
 :class:`repro.errors.ConfigError`.  Point operations (``access``,
 ``__contains__``, the reference ``invalidate``) materialize the dict form
-on demand; the two forms are interconverted lazily and exactly.
+on demand; the two forms are interconverted lazily and exactly, and a
+fresh or flushed cache starts in the array form.
 
 The loop engine collapses consecutive duplicate references with numpy
 first — a re-reference to the line just touched can never miss, and
@@ -98,12 +99,13 @@ class SetAssocCache:
             raise ValueError("assoc must be positive")
         self.nsets = nsets
         self.assoc = assoc
-        self._sets: list[OrderedDict[int, None]] | None = [
-            OrderedDict() for _ in range(nsets)
-        ]
-        # Array form: keys grouped by ascending set id, LRU-first within
-        # each set (the kernels' StreamResult.resident format).
-        self._arr: np.ndarray | None = None
+        # Exactly one of the two state forms is live.  Array form: keys
+        # grouped by ascending set id, LRU-first within each set (the
+        # kernels' StreamResult.resident format).  A cache starts (and
+        # flushes) empty in array form, so kernel-only users never build
+        # the per-set OrderedDicts.
+        self._sets: list[OrderedDict[int, None]] | None = None
+        self._arr: np.ndarray | None = np.empty(0, dtype=np.int64)
         self.misses = 0
         self.accesses = 0
         self.evictions = 0
@@ -233,8 +235,8 @@ class SetAssocCache:
         return arr[hit]
 
     def flush(self) -> None:
-        self._sets = [OrderedDict() for _ in range(self.nsets)]
-        self._arr = None
+        self._sets = None
+        self._arr = np.empty(0, dtype=np.int64)
 
     def resident(self) -> np.ndarray:
         """Currently cached keys, grouped by set, LRU first within each set."""

@@ -20,6 +20,8 @@ import numpy as np
 from ...trace.events import Trace
 from ...trace.layout import DecodedEpoch, DecodeMemo, Layout, decode_memo
 from ...trace.packed import PackedEpoch
+from .. import native
+from ..cache import _use_kernel
 
 __all__ = [
     "EpochPageInfo",
@@ -90,7 +92,6 @@ def _page_columns(
     decoded: DecodedEpoch,
     layout: Layout,
     page_size: int,
-    with_cross: bool,
 ) -> tuple[list, list, list, list]:
     """Per-proc page columns of one epoch: ``(accesses, writes, ub, cross)``.
 
@@ -99,8 +100,9 @@ def _page_columns(
     written objects are expanded to the pages they cover and the
     ``(page, region, object)`` triples deduplicated with one lexsort.
     ``cross`` — the bytes of written objects whose span crosses a page's
-    left boundary, which only the page-size ladder needs — is computed when
-    ``with_cross`` is set and is ``None`` per proc otherwise.
+    left boundary — is what the page-size ladder folds with.  This is the
+    no-compiler path and the reference of
+    :meth:`native.BurstDecoder.page_columns`.
     """
     shift = page_size.bit_length() - 1
     bases = np.asarray(layout.bases, dtype=np.int64)
@@ -113,7 +115,7 @@ def _page_columns(
     acc: list[np.ndarray] = []
     wr: list[np.ndarray] = []
     ub: list[np.ndarray] = []
-    cross: list[np.ndarray | None] = []
+    cross: list[np.ndarray] = []
     for p in range(epoch.nprocs):
         units = decoded.units[p]
         acc.append(np.unique(units) if units.shape[0] else empty)
@@ -121,7 +123,7 @@ def _page_columns(
         if wacc is None:
             wr.append(empty)
             ub.append(empty)
-            cross.append(empty if with_cross else None)
+            cross.append(empty)
             continue
         wregs, widx = wacc
         sizes = osizes[wregs]
@@ -145,16 +147,43 @@ def _page_columns(
         sz = osizes[rg]
         wr.append(wpages)
         ub.append(np.bincount(inverse, weights=sz).astype(np.int64))
-        if with_cross:
-            crossing = ((bases[rg] + ob[fresh] * sz) >> shift) < pg
-            cross.append(
-                np.bincount(
-                    inverse[crossing], weights=sz[crossing], minlength=wpages.shape[0]
-                ).astype(np.int64)
-            )
-        else:
-            cross.append(None)
+        crossing = ((bases[rg] + ob[fresh] * sz) >> shift) < pg
+        cross.append(
+            np.bincount(
+                inverse[crossing], weights=sz[crossing], minlength=wpages.shape[0]
+            ).astype(np.int64)
+        )
     return acc, wr, ub, cross
+
+
+def _trace_columns(
+    trace: Trace, layout: Layout, page_size: int, store: bool
+) -> list[tuple[list, list, list, list]]:
+    """:func:`_page_columns` of every epoch.
+
+    With the compiled kernels, one :meth:`native.BurstDecoder.page_columns`
+    pass per epoch computes them; the decode memo is not touched.
+    Otherwise -- no compiler, or the ``loop`` engine -- the numpy columns
+    are built from the memoized page decode, kept there iff ``store``.
+    """
+    if _use_kernel(None):
+        decoder = native.BurstDecoder.for_layout(layout, page_size)
+        levels = []
+        for epoch in trace.epochs:
+            acc, aoff, wr, woff, ub, cross = decoder.page_columns(epoch)
+            aoff, woff = aoff[1:-1], woff[1:-1]
+            levels.append((
+                np.split(acc, aoff), np.split(wr, woff),
+                np.split(ub, woff), np.split(cross, woff),
+            ))
+        return levels
+    memo = decode_memo(trace)
+    return [
+        _page_columns(
+            epoch, memo.epoch(layout, page_size, ei, store=store), layout, page_size
+        )
+        for ei, epoch in enumerate(trace.epochs)
+    ]
 
 
 def _page_info(
@@ -171,23 +200,15 @@ def _page_info(
     )
 
 
-def _epoch_info(
-    epoch: PackedEpoch, decoded: DecodedEpoch, layout: Layout, page_size: int
-) -> EpochPageInfo:
-    """Page-level summary of one epoch at ``page_size``."""
-    acc, wr, ub, _cross = _page_columns(epoch, decoded, layout, page_size, False)
-    return _page_info(epoch, acc, wr, ub, page_size)
-
-
 def build_intervals(
     trace: Trace, layout: Layout | None = None, page_size: int = 4096
 ) -> tuple[list[EpochPageInfo], Layout]:
     """Summarize every epoch of ``trace`` at ``page_size`` granularity.
 
-    The summaries are built vectorized from the memoized page decode and
-    cached on the trace's decode memo keyed by geometry — so running
-    TreadMarks and HLRC (or repeating a sweep point) builds the intervals
-    once.
+    The summaries come from one compiled pass per epoch (numpy from the
+    memoized page decode without a compiler) and are cached on the
+    trace's decode memo keyed by geometry — so running TreadMarks and
+    HLRC (or repeating a sweep point) builds the intervals once.
     """
     if layout is None:
         layout = Layout.for_trace(trace, align=page_size)
@@ -196,8 +217,10 @@ def build_intervals(
 
     def _build() -> list[EpochPageInfo]:
         return [
-            _epoch_info(epoch, memo.epoch(layout, page_size, ei), layout, page_size)
-            for ei, epoch in enumerate(trace.epochs)
+            _page_info(epoch, acc, wr, ub, page_size)
+            for epoch, (acc, wr, ub, _cross) in zip(
+                trace.epochs, _trace_columns(trace, layout, page_size, True)
+            )
         ]
 
     return memo.derived(key, _build), layout
@@ -287,15 +310,10 @@ def build_interval_ladder(
     # otherwise decode the finest size again, since that decode is not kept.
     if all(memo.has_derived(k) for k in keys.values()):
         return {s: memo.derived(k, None) for s, k in keys.items()}, layout
-    finest = sizes[0]
     # The finest-size decode is read once, here; storing it would hold every
     # epoch's streams at the finest (largest) geometry for nothing.
-    levels = [
-        _page_columns(
-            epoch, memo.epoch(layout, finest, ei, store=False), layout, finest, True
-        )
-        for ei, epoch in enumerate(trace.epochs)
-    ]
+    finest = sizes[0]
+    levels = _trace_columns(trace, layout, finest, False)
     out: dict[int, list[EpochPageInfo]] = {}
     size = finest
     while True:

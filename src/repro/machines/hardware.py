@@ -39,7 +39,8 @@ import numpy as np
 from ..errors import SimulationInputError
 from ..trace.events import Trace
 from ..trace.layout import DecodedEpoch, Layout, decode_memo
-from .cache import LRUCache, SetAssocCache
+from . import native
+from .cache import LRUCache, SetAssocCache, _use_kernel
 from .kernels import SetAssocSweep
 from .params import HardwareParams
 
@@ -137,6 +138,51 @@ def _proc_streams(
     return lines, pages, written
 
 
+def _line_streams(
+    trace: Trace, layout: Layout, line_size: int, page_size: int, nlines: int
+):
+    """Yield each epoch's per-proc ``(lines, pages, distinct, written)``.
+
+    ``lines`` is the proc's cache-line stream and ``pages`` its TLB page
+    stream; ``distinct`` holds the lines it touched (any order) and
+    ``written`` the lines it wrote, sorted.  When the cache replays run
+    compiled, one :meth:`native.BurstDecoder.decode_lines` pass per epoch
+    yields them, with consecutive repeats dropped from ``lines`` and
+    ``pages`` (a repeat of the key just touched never misses) and the
+    arrays valid until the next epoch is drawn.  Otherwise -- no
+    compiler, or the ``loop`` engine -- the numpy decode through the
+    trace's decode memo and :func:`_proc_streams` does, with a dense line
+    mask for ``distinct``.
+    """
+    if _use_kernel(None):
+        decoder = native.BurstDecoder.for_layout(layout, line_size)
+        for epoch in trace.epochs:
+            lines, lo, pages, po, dist, do, wr, wo = decoder.decode_lines(
+                epoch, page_size
+            )
+            lo, po, do, wo = lo.tolist(), po.tolist(), do.tolist(), wo.tolist()
+            yield [
+                (lines[lo[p] : lo[p + 1]], pages[po[p] : po[p + 1]],
+                 dist[do[p] : do[p + 1]], wr[wo[p] : wo[p + 1]])
+                for p in range(trace.nprocs)
+            ]
+        return
+    memo = decode_memo(trace)
+    touched = np.zeros(nlines, dtype=bool)
+    for ei, epoch in enumerate(trace.epochs):
+        decoded = memo.epoch(layout, line_size, ei)
+        streams = []
+        for p in range(trace.nprocs):
+            lines, pages, written = _proc_streams(
+                epoch, decoded, p, line_size, page_size, nlines
+            )
+            touched[lines] = True
+            distinct = np.flatnonzero(touched)
+            touched[distinct] = False
+            streams.append((lines, pages, distinct, written))
+        yield streams
+
+
 def _invalidation_targets(
     epoch_written: list[np.ndarray],
 ) -> list[np.ndarray | None]:
@@ -207,32 +253,25 @@ def simulate_hardware(
     # Classification state: lines each proc has ever touched, and lines
     # invalidated out of its cache and not yet re-touched.  Line ids are
     # dense (bounded by the layout's extent), so per-proc boolean tables
-    # make the per-epoch set algebra O(lines) scatter/mask work.
+    # turn the per-epoch set algebra into gathers and scatters over the
+    # proc's distinct lines.
     shift = params.line_size.bit_length() - 1
     nlines = (layout.total_bytes >> shift) + 1
     seen = np.zeros((nprocs, nlines), dtype=bool)
     pending_inval = np.zeros((nprocs, nlines), dtype=bool)
-    touched = np.zeros(nlines, dtype=bool)
 
     miss_time = params.l2_miss_time()
     work_time = params.work_cycles * params.cycle_time
     total_time = 0.0
 
-    # Decode through the per-trace memo: one pass per (epoch, geometry),
-    # shared with the DSM simulators and any sweep re-running this trace
-    # under the same line size.
-    memo = decode_memo(trace)
-
-    for ei, epoch in enumerate(trace.epochs):
+    streams = _line_streams(
+        trace, layout, params.line_size, params.page_size, nlines
+    )
+    for epoch, epoch_streams in zip(trace.epochs, streams):
         epoch_written: list[np.ndarray] = []
-        proc_time = np.zeros(nprocs, dtype=np.float64)
         epoch_l2 = np.zeros(nprocs, dtype=np.int64)
         epoch_tlb = np.zeros(nprocs, dtype=np.int64)
-        decoded = memo.epoch(layout, params.line_size, ei)
-        for p in range(nprocs):
-            lines, pages, written = _proc_streams(
-                epoch, decoded, p, params.line_size, params.page_size, nlines
-            )
+        for p, (lines, pages, distinct, written) in enumerate(epoch_streams):
             epoch_written.append(written)
             if lines.shape[0]:
                 epoch_l2[p] = caches[p].access_stream(lines)
@@ -240,13 +279,10 @@ def simulate_hardware(
                 # Classify: first-ever touches are cold; re-touches of
                 # invalidated lines are coherence; the remainder of the
                 # LRU's miss count is capacity/conflict.
-                touched[lines] = True
-                fresh = touched & ~seen[p]
-                cold[p] += int(np.count_nonzero(fresh))
-                seen[p] |= fresh
-                coherence[p] += int(np.count_nonzero(touched & pending_inval[p]))
-                pending_inval[p] &= ~touched
-                touched.fill(False)
+                cold[p] += int(np.count_nonzero(~seen[p, distinct]))
+                seen[p, distinct] = True
+                coherence[p] += int(np.count_nonzero(pending_inval[p, distinct]))
+                pending_inval[p, distinct] = False
         # Directory invalidation at the barrier: every line written by q is
         # purged from all other caches (and its TLB entry is unaffected —
         # TLBs cache translations, not data).  The target sets are batched
@@ -313,7 +349,6 @@ def _sweep_line_family(
     line_size: int,
     l2_list: list[int],
     layout: Layout,
-    memo,
 ) -> list[HardwareResult]:
     """Sweep L2 capacities at one line size with a single replay.
 
@@ -366,33 +401,25 @@ def _sweep_line_family(
     # associativity ``a`` (it was resident there when invalidated); the
     # sentinel ``cmax`` means no pending invalidation at any capacity.
     pend_thr = np.full((nprocs, nlines), cmax, dtype=np.int64)
-    touched = np.zeros(nlines, dtype=bool)
     works = np.zeros((nepochs, nprocs), dtype=np.float64)
     locks_e = np.zeros((nepochs, nprocs), dtype=np.int64)
     labels: list[str] = []
 
-    for ei, epoch in enumerate(trace.epochs):
-        decoded = memo.epoch(layout, line_size, ei)
+    streams = _line_streams(trace, layout, line_size, base.page_size, nlines)
+    for ei, (epoch, epoch_streams) in enumerate(zip(trace.epochs, streams)):
         epoch_written: list[np.ndarray] = []
-        for p in range(nprocs):
-            lines, pages, written = _proc_streams(
-                epoch, decoded, p, line_size, base.page_size, nlines
-            )
+        for p, (lines, pages, distinct, written) in enumerate(epoch_streams):
             epoch_written.append(written)
             if lines.shape[0]:
                 g_hists[ei, p] = sweeps[p].access_stream(lines)
                 tlb_epoch[ei, p] = tlbs[p].access_stream(pages)
-                touched[lines] = True
-                fresh = touched & ~seen[p]
-                cold[p] += int(np.count_nonzero(fresh))
-                seen[p] |= fresh
-                tl = np.flatnonzero(touched)
-                thr = pend_thr[p, tl]
+                cold[p] += int(np.count_nonzero(~seen[p, distinct]))
+                seen[p, distinct] = True
+                thr = pend_thr[p, distinct]
                 pend = thr < cmax
                 if pend.any():
                     coh_hist[p] += np.bincount(thr[pend], minlength=cmax)
-                    pend_thr[p, tl[pend]] = cmax
-                touched.fill(False)
+                    pend_thr[p, distinct[pend]] = cmax
         for p, w in enumerate(_invalidation_targets(epoch_written)):
             if w is None or w.shape[0] == 0:
                 continue
@@ -481,10 +508,9 @@ def simulate_hardware_sweep(
     one-pass miss curve exact; see ``DESIGN.md``.  The base point
     ``(base.line_size, base.l2_bytes)`` reproduces ``base`` itself.
 
-    Each distinct line size decodes the trace once through the
-    shared :class:`repro.trace.layout.DecodeMemo`; every ``l2_bytes``
-    point at that line size is then read off the stack-distance curve
-    instead of re-replaying.
+    Each distinct line size decodes the trace once (see
+    :func:`_line_streams`); every ``l2_bytes`` point at that line size is
+    then read off the stack-distance curve instead of re-replaying.
     """
     if not isinstance(trace, Trace):
         raise SimulationInputError(
@@ -498,10 +524,7 @@ def simulate_hardware_sweep(
         raise SimulationInputError("sweep axes must be non-empty")
     if layout is None:
         layout = Layout.for_trace(trace, align=base.page_size)
-    memo = decode_memo(trace)
     results: list[HardwareResult] = []
     for line_size in line_list:
-        results.extend(
-            _sweep_line_family(trace, base, line_size, l2_list, layout, memo)
-        )
+        results.extend(_sweep_line_family(trace, base, line_size, l2_list, layout))
     return results

@@ -1,8 +1,10 @@
-"""Compiled kernels: exact LRU cache replay and the Barnes-Hut walk.
+"""Compiled kernels: the simulators' front end and cache replay, and the
+Barnes-Hut walk.
 
-The per-access cache replays the simulators run and the per-body
-Barnes-Hut force walk live here as one small C library, kept as a source
-string so packaging is unchanged.  On first use the library is built with
+The per-access cache replays the simulators run, the burst-column decode
+that feeds them and the DSM interval builder, and the per-body Barnes-Hut
+force walk live here as one small C library, kept as a source string so
+packaging is unchanged.  On first use the library is built with
 the system C compiler (``$CC``, else ``cc`` or ``gcc``) into
 ``$XDG_CACHE_HOME/repro/kernels/`` (default ``~/.cache/repro/kernels/``)
 and loaded with :mod:`ctypes`, which adds no dependency and releases the
@@ -22,10 +24,17 @@ Entry points:
   straight into per-body CSR interaction streams (a counting pass, then a
   fill pass).  Its opening test is bitwise-equal to the numpy frontier
   walk :func:`repro.apps.octree.walk`; the forces stay in numpy.
+* ``decode_lines`` and ``page_columns`` (through :class:`BurstDecoder`) —
+  one pass over an epoch's burst columns with byte-per-unit stamp
+  arrays: per proc, the run-collapsed cache-line and TLB page streams
+  with the distinct and written lines (for the origin replays), or the
+  sorted distinct and written pages with their dirty-byte columns (for
+  the DSM intervals).
+  Equal to the numpy decode they replace.
 
 With no working compiler :func:`available` is False and :func:`require`
 raises :class:`repro.errors.ConfigError`; callers fall back to the
-``"loop"`` cache engines and to the numpy frontier walk.
+``"loop"`` cache engines, the numpy decode and the numpy frontier walk.
 """
 
 from __future__ import annotations
@@ -41,10 +50,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationInputError
 
 __all__ = [
     "available", "require", "build", "lru_replay", "mattson_replay", "bh_walk",
+    "BurstDecoder",
 ]
 
 _SOURCE = r"""
@@ -215,6 +225,152 @@ int64_t bh_walk(const double *pos, const int64_t *order, int64_t n,
     free(stack);
     return 0;
 }
+
+/* Burst-column front ends.  Both walk one epoch proc by proc: proc p's
+   accesses are index[offsets[p]..offsets[p+1]), cut into the bursts
+   boff[p]..boff[p+1) of blen[b] accesses each, all in region breg[b] and
+   written iff bwrite[b].  Access i of burst b covers the units
+   (base[r] + index[i] * size[r]) >> shift through
+   (base[r] + (index[i] + 1) * size[r] - 1) >> shift, r = breg[b].  index
+   holds 4- or 8-byte integers (width).  Per-proc outputs are CSR: proc p's
+   part of out is out[off[p]..off[p+1]), off having nprocs + 1 entries.
+   Scratch arrays come in zeroed and leave zeroed. */
+
+#define INDEX(i) (width == 4 ? (int64_t)((const int32_t *)index)[i] \
+                             : ((const int64_t *)index)[i])
+
+static int cmp_i64(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Sort the n units in ids, which are those with bit set in mark: a scan
+   of mark when they are dense among the nunits, else qsort. */
+static void sort_marked(int64_t *ids, int64_t n, const uint8_t *mark,
+                        uint8_t bit, int64_t nunits)
+{
+    int64_t u, k = 0;
+    if (n < 2) return;
+    if (n * 64 < nunits) {
+        qsort(ids, (size_t)n, sizeof *ids, cmp_i64);
+        return;
+    }
+    for (u = 0; k < n; u++)
+        if (mark[u] & bit) ids[k++] = u;
+}
+
+/* Cache-line front end.  Per proc: the line stream with consecutive
+   repeats dropped (lines, loff), the page stream of those lines with
+   consecutive repeats dropped (pages, poff; page = line >> pgshift, or
+   line << -pgshift when pages are smaller than lines), the distinct
+   lines in first-touch order (dist, doff) and the written lines, sorted
+   (wr, woff).  mark holds one byte per line (bit 1 touched, bit 2
+   written). */
+void decode_lines(int64_t nprocs, const int64_t *offsets, const int64_t *boff,
+                  const int64_t *breg, const uint8_t *bwrite,
+                  const int64_t *blen, const void *index, int64_t width,
+                  const int64_t *base, const int64_t *size, int64_t shift,
+                  int64_t pgshift, int64_t nlines, uint8_t *mark,
+                  int64_t *lines, int64_t *loff, int64_t *pages,
+                  int64_t *poff, int64_t *dist, int64_t *doff, int64_t *wr,
+                  int64_t *woff)
+{
+    int64_t p, b, i, u, nl = 0, np = 0, nd = 0, nw = 0;
+    loff[0] = poff[0] = doff[0] = woff[0] = 0;
+    for (p = 0; p < nprocs; p++) {
+        int64_t d0 = nd, w0 = nw, prev = -1, pprev = -1;
+        i = offsets[p];
+        for (b = boff[p]; b < boff[p + 1]; b++) {
+            int64_t sz = size[breg[b]], bs = base[breg[b]], end = i + blen[b];
+            uint8_t bits = bwrite[b] ? 3 : 1;
+            for (; i < end; i++) {
+                int64_t start = bs + INDEX(i) * sz;
+                int64_t last = (start + sz - 1) >> shift;
+                for (u = start >> shift; u <= last; u++) {
+                    uint8_t m = mark[u];
+                    if (u != prev) {
+                        int64_t g = pgshift >= 0 ? u >> pgshift : u << -pgshift;
+                        lines[nl++] = prev = u;
+                        if (g != pprev) pages[np++] = pprev = g;
+                    }
+                    if (!m) dist[nd++] = u;
+                    if ((bits & ~m) & 2) wr[nw++] = u;
+                    mark[u] = m | bits;
+                }
+            }
+        }
+        sort_marked(wr + w0, nw - w0, mark, 2, nlines);
+        for (u = d0; u < nd; u++) mark[dist[u]] = 0;
+        loff[p + 1] = nl;
+        poff[p + 1] = np;
+        doff[p + 1] = nd;
+        woff[p + 1] = nw;
+    }
+}
+
+/* DSM page front end.  Per proc: the sorted distinct pages touched
+   (acc, aoff) and written (wr, woff), and aligned with wr the uncapped
+   dirty bytes ub -- the summed sizes of the distinct objects written on
+   the page -- and cross, the part of ub from objects that start on an
+   earlier page.  Object i of region r is omark[obase[r] + i].  Scratch:
+   pmark (a byte per page: bit 1 touched, bit 2 written), omark (a byte
+   per object), ubacc and cracc (an int64 per page). */
+void page_columns(int64_t nprocs, const int64_t *offsets, const int64_t *boff,
+                  const int64_t *breg, const uint8_t *bwrite,
+                  const int64_t *blen, const void *index, int64_t width,
+                  const int64_t *base, const int64_t *size,
+                  const int64_t *obase, int64_t shift, int64_t npages,
+                  uint8_t *pmark, uint8_t *omark, int64_t *ubacc,
+                  int64_t *cracc, int64_t *acc, int64_t *aoff, int64_t *wr,
+                  int64_t *woff, int64_t *ub, int64_t *cross)
+{
+    int64_t p, b, i, g, na = 0, nw = 0;
+    aoff[0] = woff[0] = 0;
+    for (p = 0; p < nprocs; p++) {
+        int64_t a0 = na, w0 = nw;
+        i = offsets[p];
+        for (b = boff[p]; b < boff[p + 1]; b++) {
+            int64_t sz = size[breg[b]], bs = base[breg[b]], end = i + blen[b];
+            uint8_t *om = omark + obase[breg[b]];
+            for (; i < end; i++) {
+                int64_t ix = INDEX(i), start = bs + ix * sz;
+                int64_t first = start >> shift, last = (start + sz - 1) >> shift;
+                for (g = first; g <= last; g++)
+                    if (!pmark[g]) {
+                        pmark[g] = 1;
+                        acc[na++] = g;
+                    }
+                if (!bwrite[b] || om[ix]) continue;
+                om[ix] = 1;
+                for (g = first; g <= last; g++) {
+                    if (pmark[g] == 1) {
+                        pmark[g] = 3;
+                        wr[nw++] = g;
+                    }
+                    ubacc[g] += sz;
+                    if (g > first) cracc[g] += sz;
+                }
+            }
+        }
+        for (b = boff[p], i = offsets[p]; b < boff[p + 1]; b++) {
+            int64_t end = i + blen[b];
+            uint8_t *om = omark + obase[breg[b]];
+            if (!bwrite[b]) i = end;
+            for (; i < end; i++) om[INDEX(i)] = 0;
+        }
+        sort_marked(acc + a0, na - a0, pmark, 1, npages);
+        sort_marked(wr + w0, nw - w0, pmark, 2, npages);
+        for (g = w0; g < nw; g++) {
+            ub[g] = ubacc[wr[g]];
+            cross[g] = cracc[wr[g]];
+            ubacc[wr[g]] = cracc[wr[g]] = 0;
+        }
+        for (g = a0; g < na; g++) pmark[acc[g]] = 0;
+        aoff[p + 1] = na;
+        woff[p + 1] = nw;
+    }
+}
 """
 
 # -ffp-contract=off: no fused multiply-adds (the default on targets whose
@@ -290,9 +446,10 @@ def _load() -> ctypes.CDLL | None:
             lib = ctypes.CDLL(str(build()))
         except (ConfigError, OSError, subprocess.SubprocessError) as exc:
             _error = str(exc)
-            log.warning("compiled kernels (cache replay, Barnes-Hut walk)"
-                        " unavailable, falling back to the slower loop replay"
-                        " and numpy frontier walk: %s", _error)
+            log.warning("compiled kernels (burst decode, cache replay,"
+                        " Barnes-Hut walk) unavailable, falling back to the"
+                        " numpy decode, the slower loop replay and the numpy"
+                        " frontier walk: %s", _error)
             return None
         p, i64 = ctypes.c_void_p, ctypes.c_int64
         lib.lru_replay.restype = i64
@@ -302,6 +459,12 @@ def _load() -> ctypes.CDLL | None:
         lib.bh_walk.restype = i64
         lib.bh_walk.argtypes = [p, p, i64, p, p, p, p, p, p, p, p, i64,
                                 ctypes.c_double, p, p, p, p]
+        lib.decode_lines.restype = None
+        lib.decode_lines.argtypes = [i64, p, p, p, p, p, p, i64, p, p, i64,
+                                     i64, i64, p, p, p, p, p, p, p, p, p]
+        lib.page_columns.restype = None
+        lib.page_columns.argtypes = [i64, p, p, p, p, p, p, i64, p, p, p, i64,
+                                     i64, p, p, p, p, p, p, p, p, p, p]
         _lib = lib
     return _lib
 
@@ -316,8 +479,8 @@ def require() -> ctypes.CDLL:
     lib = _load()
     if lib is None:
         raise ConfigError(
-            f"the compiled kernels (cache replay, Barnes-Hut walk) are"
-            f" unavailable ({_error}); use engine='loop'"
+            f"the compiled kernels (burst decode, cache replay, Barnes-Hut"
+            f" walk) are unavailable ({_error}); use engine='loop'"
         )
     return lib
 
@@ -446,3 +609,163 @@ def bh_walk(
     direct_others = np.empty(int(dbounds[n]), dtype=np.int64)
     run(cell_ids.ctypes.data, direct_others.ctypes.data)
     return cell_ids, cbounds, direct_others, dbounds
+
+
+class BurstDecoder:
+    """Region table and scratch of the burst-column front ends.
+
+    One decoder serves one geometry: each region's base byte address,
+    object size and object count, and the unit (cache line or page) size.
+    :meth:`decode_lines` and :meth:`page_columns` check an epoch's columns
+    -- shapes, burst tiling, region ids, and every index within
+    ``[0, num_objects)`` of its burst's region, which keeps the C code's
+    stamp writes in bounds -- and raise
+    :class:`~repro.errors.SimulationInputError` before any C call, then
+    make one C pass over the epoch.  ``index`` may be an int32 (mmap-loaded)
+    or int64 column.
+    """
+
+    def __init__(self, bases, sizes, counts, unit: int):
+        if unit < 1 or unit & (unit - 1):
+            raise ValueError(f"unit must be a power of two, got {unit}")
+        self.shift = unit.bit_length() - 1
+        self.bases, self.sizes, self.counts = _i64(bases), _i64(sizes), _i64(counts)
+        if not (self.bases.shape == self.sizes.shape == self.counts.shape) or (
+            self.bases.size and (self.bases.min() < 0 or self.sizes.min() < 1
+                                 or self.counts.min() < 0)
+        ):
+            raise ValueError("region table needs bases >= 0, sizes >= 1, counts >= 0")
+        live = self.counts > 0
+        ends = self.bases[live] + self.counts[live] * self.sizes[live]
+        #: Units that valid accesses can reach: the scratch arrays' length.
+        self.nunits = int(((ends - 1) >> self.shift).max()) + 1 if ends.size else 0
+        # Most units one object can cover (the output bound per access).
+        self._span = ((self.sizes - 1) >> self.shift) + 2
+        self._mark = None
+        self._buffers = [np.empty(0, dtype=np.int64) for _ in range(4)]
+        self._page_scratch = None
+
+    @classmethod
+    def for_layout(cls, layout, unit: int) -> "BurstDecoder":
+        """The decoder of a :class:`~repro.trace.layout.Layout` at ``unit``."""
+        regions = layout.regions
+        return cls(layout.bases, [r.object_size for r in regions],
+                   [r.num_objects for r in regions], unit)
+
+    def _columns(self, epoch) -> tuple:
+        """The epoch's columns in the C code's dtypes, checked."""
+        nprocs = int(epoch.nprocs)
+        offsets, boff = _i64(epoch.offsets), _i64(epoch.burst_offsets)
+        breg, blen = _i64(epoch.burst_region), _i64(epoch.burst_length)
+        bwrite = np.ascontiguousarray(epoch.burst_write, dtype=np.bool_)
+        index = np.asarray(epoch.index)
+        if index.dtype != np.int32:
+            index = index.astype(np.int64, copy=False)
+        index = np.ascontiguousarray(index)
+        nb = breg.shape[0]
+        if (offsets.shape != (nprocs + 1,) or boff.shape != (nprocs + 1,)
+                or bwrite.shape != (nb,) or blen.shape != (nb,) or index.ndim != 1):
+            raise SimulationInputError("epoch columns have inconsistent shapes")
+        starts = np.zeros(nb + 1, dtype=np.int64)
+        np.cumsum(blen, out=starts[1:])
+        if (
+            (nb and blen.min() < 0) or boff[0] != 0 or boff[-1] != nb
+            or (np.diff(boff) < 0).any() or starts[-1] != index.shape[0]
+            or not np.array_equal(starts[boff], offsets)
+        ):
+            raise SimulationInputError("burst columns do not tile the epoch's accesses")
+        if nb and (breg.min() < 0 or breg.max() >= self.counts.shape[0]):
+            raise SimulationInputError("burst region id outside the region table")
+        if index.shape[0]:
+            live = blen > 0
+            top = np.maximum.reduceat(index, starts[:-1][live])
+            if index.min() < 0 or (top >= self.counts[breg[live]]).any():
+                raise SimulationInputError(
+                    "access index outside [0, num_objects) of its region"
+                )
+        bound = int(blen @ self._span[breg]) if nb else 0
+        return nprocs, offsets, boff, breg, bwrite, blen, index, bound
+
+    def _buffer(self, slot: int, size: int) -> np.ndarray:
+        if self._buffers[slot].shape[0] < size:
+            self._buffers[slot] = np.empty(size, dtype=np.int64)
+        return self._buffers[slot]
+
+    def decode_lines(self, epoch, page_size: int) -> tuple[np.ndarray, ...]:
+        """One pass over ``epoch`` at line geometry (the decoder's unit).
+
+        Returns ``(lines, loff, pages, poff, distinct, doff, written,
+        woff)``, CSR over the procs: proc ``p``'s line stream with
+        consecutive repeats dropped is ``lines[loff[p]:loff[p + 1]]``, the
+        ``page_size`` pages of that stream with consecutive repeats
+        dropped ``pages[poff[p]:poff[p + 1]]``, its distinct lines (in
+        first-touch order) ``distinct[doff[p]:doff[p + 1]]`` and its
+        written lines, sorted, ``written[woff[p]:woff[p + 1]]``.  The four
+        streams are views into buffers the next call reuses.
+        """
+        if page_size < 1 or page_size & (page_size - 1):
+            raise ValueError(f"page_size must be a power of two, got {page_size}")
+        lib = require()
+        nprocs, offsets, boff, breg, bwrite, blen, index, bound = self._columns(epoch)
+        if self._mark is None:
+            self._mark = np.zeros(self.nunits, dtype=np.uint8)
+        lines = self._buffer(0, bound)
+        pages = self._buffer(1, bound)
+        dist = self._buffer(2, min(bound, nprocs * self.nunits))
+        wr = self._buffer(3, min(bound, nprocs * self.nunits))
+        loff, poff, doff, woff = (
+            np.empty(nprocs + 1, dtype=np.int64) for _ in range(4)
+        )
+        lib.decode_lines(
+            nprocs, offsets.ctypes.data, boff.ctypes.data, breg.ctypes.data,
+            bwrite.ctypes.data, blen.ctypes.data, index.ctypes.data,
+            index.itemsize, self.bases.ctypes.data, self.sizes.ctypes.data,
+            self.shift, page_size.bit_length() - 1 - self.shift, self.nunits,
+            self._mark.ctypes.data, lines.ctypes.data, loff.ctypes.data,
+            pages.ctypes.data, poff.ctypes.data, dist.ctypes.data,
+            doff.ctypes.data, wr.ctypes.data, woff.ctypes.data,
+        )
+        return (lines[: loff[-1]], loff, pages[: poff[-1]], poff,
+                dist[: doff[-1]], doff, wr[: woff[-1]], woff)
+
+    def page_columns(self, epoch) -> tuple[np.ndarray, ...]:
+        """One pass over ``epoch`` at page geometry.
+
+        Returns ``(accesses, aoff, writes, woff, ub, cross)``, CSR over the
+        procs: proc ``p``'s sorted distinct pages touched are
+        ``accesses[aoff[p]:aoff[p + 1]]`` and written
+        ``writes[woff[p]:woff[p + 1]]``; aligned with the written pages,
+        ``ub`` sums the sizes of the distinct objects written on each page
+        (uncapped) and ``cross`` the part of it from objects that start on
+        an earlier page.  Fresh arrays, not views of reused buffers.
+        """
+        lib = require()
+        nprocs, offsets, boff, breg, bwrite, blen, index, bound = self._columns(epoch)
+        if self._mark is None:
+            self._mark = np.zeros(self.nunits, dtype=np.uint8)
+        if self._page_scratch is None:
+            obase = np.zeros(self.counts.shape[0], dtype=np.int64)
+            np.cumsum(self.counts[:-1], out=obase[1:])
+            self._page_scratch = (
+                obase,
+                np.zeros(int(self.counts.sum()), dtype=np.uint8),
+                np.zeros(self.nunits, dtype=np.int64),
+                np.zeros(self.nunits, dtype=np.int64),
+            )
+        obase, omark, ubacc, cracc = self._page_scratch
+        cap = min(bound, nprocs * self.nunits)
+        acc, wr, ub, cross = (np.empty(cap, dtype=np.int64) for _ in range(4))
+        aoff, woff = (np.empty(nprocs + 1, dtype=np.int64) for _ in range(2))
+        lib.page_columns(
+            nprocs, offsets.ctypes.data, boff.ctypes.data, breg.ctypes.data,
+            bwrite.ctypes.data, blen.ctypes.data, index.ctypes.data,
+            index.itemsize, self.bases.ctypes.data, self.sizes.ctypes.data,
+            obase.ctypes.data, self.shift, self.nunits, self._mark.ctypes.data,
+            omark.ctypes.data, ubacc.ctypes.data, cracc.ctypes.data,
+            acc.ctypes.data,
+            aoff.ctypes.data, wr.ctypes.data, woff.ctypes.data,
+            ub.ctypes.data, cross.ctypes.data,
+        )
+        na, nw = int(aoff[-1]), int(woff[-1])
+        return (acc[:na].copy(), aoff, wr[:nw].copy(), woff,
+                ub[:nw].copy(), cross[:nw].copy())

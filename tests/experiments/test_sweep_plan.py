@@ -267,3 +267,105 @@ class TestCheckpointCorruption:
         clear_cache()
         assert SweepPlan(self.GRID2, SCALE).run() == baseline
         assert ran == []
+
+
+class TestMergedDSMGroup:
+    """Every DSM protocol of a trace shares one group: one trace load, one
+    interval ladder, rows still in grid platform order."""
+
+    GRID3 = SweepGrid(
+        apps=("moldyn",),
+        versions=("original", "hilbert"),
+        platforms=("hlrc", "origin", "treadmarks"),
+        l2_bytes=(32768,),
+        page_sizes=(1024, 4096),
+    )
+
+    def test_one_dsm_group_per_trace(self):
+        groups = SweepPlan(self.GRID3, SCALE).groups()
+        assert [g.platforms for g in groups] == [
+            ("origin",), ("hlrc", "treadmarks"),
+        ] * 2
+        assert sum(g.points() for g in groups) == 2 * (1 + 2 * 2)
+
+    def test_rows_match_per_protocol_runs_in_grid_order(self):
+        from repro.machines import simulate_hlrc
+
+        rows = SweepPlan(self.GRID3, SCALE).run()
+        expected = [
+            (version, platform, size)
+            for version in ("original", "hilbert")
+            for platform, size in (
+                ("hlrc", 1024), ("hlrc", 4096), ("origin", None),
+                ("treadmarks", 1024), ("treadmarks", 4096),
+            )
+        ]
+        assert [
+            (r["version"], r["platform"], r.get("page_size")) for r in rows
+        ] == expected
+        for version in ("original", "hilbert"):
+            trace = make_app("moldyn", SCALE.config("moldyn"), version).run()
+            for platform, sim in (("treadmarks", simulate_treadmarks),
+                                  ("hlrc", simulate_hlrc)):
+                for size in (1024, 4096):
+                    ref = sim(trace, cluster_scaled(nprocs=SCALE.nprocs,
+                                                    page_size=size))
+                    (row,) = [r for r in rows if r["version"] == version
+                              and r["platform"] == platform
+                              and r.get("page_size") == size]
+                    assert row["messages"] == ref.messages
+                    assert row["data_mbytes"] == ref.data_mbytes
+                    assert row["time"] == ref.time
+                    assert row["page_fetches"] == int(ref.page_fetches.sum())
+                    assert row["diff_fetches"] == int(ref.diff_fetches.sum())
+
+    def test_one_ladder_per_trace_with_runtime_cache(self, tmp_path, monkeypatch):
+        from repro.machines.dsm import intervals, sweep as dsm_sweep
+
+        calls = []
+        real = intervals.build_interval_ladder
+
+        def counted(trace, *args, **kwargs):
+            calls.append(id(trace))
+            return real(trace, *args, **kwargs)
+
+        monkeypatch.setattr(dsm_sweep, "build_interval_ladder", counted)
+        set_runtime(RuntimeContext(
+            cache=TraceCache(tmp_path),
+            executor=ExecutorConfig(jobs=1, task_timeout=None),
+        ))
+        grid = SweepGrid(apps=("moldyn",), versions=("hilbert",),
+                         platforms=("treadmarks", "hlrc"), page_sizes=(1024, 4096))
+        rows = SweepPlan(grid, SCALE).run()
+        assert len(rows) == 4
+        assert len(calls) == 1
+
+    def test_per_protocol_checkpoints_are_not_read(self, tmp_path):
+        """A checkpoint under the per-protocol group key of earlier versions
+        is ignored: the merged group has a key of its own."""
+        import hashlib
+
+        grid = SweepGrid(apps=("moldyn",), versions=("hilbert",),
+                         platforms=("treadmarks",), page_sizes=(4096,))
+        blob = json.dumps({
+            "axes": [None, None, [4096]],
+            "n": SCALE.n["moldyn"],
+            "iterations": SCALE.iterations["moldyn"],
+            "nprocs": SCALE.nprocs,
+            "seed": SCALE.seed,
+            "hw_scale": SCALE.hw_scale,
+            "extra": {},
+        }, sort_keys=True)
+        old = f"moldyn_hilbert_treadmarks_{hashlib.sha1(blob.encode()).hexdigest()[:10]}"
+        sweeps = tmp_path / "sweeps"
+        sweeps.mkdir()
+        (sweeps / f"{old}.json").write_text(json.dumps([{"platform": "treadmarks", "time": -1.0}]))
+        set_runtime(RuntimeContext(
+            cache=TraceCache(tmp_path),
+            executor=ExecutorConfig(jobs=1, task_timeout=None),
+            resume=True,
+        ))
+        (group,) = SweepPlan(grid, SCALE).groups()
+        assert group.key(SCALE) != old and "_dsm_" in group.key(SCALE)
+        rows = SweepPlan(grid, SCALE).run()
+        assert len(rows) == 1 and rows[0]["time"] > 0

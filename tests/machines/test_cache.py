@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.machines import native
 from repro.machines.cache import LRUCache, SetAssocCache, collapse_runs
 
 
@@ -175,3 +176,53 @@ class TestSetAssocCache:
             SetAssocCache(3, 2)
         with pytest.raises(ValueError):
             SetAssocCache(4, 0)
+
+
+class TestEmptyArrayForm:
+    """A fresh or flushed cache starts in array form with no per-set dicts;
+    it must behave exactly like one starting from empty per-set dicts."""
+
+    @staticmethod
+    def _as_dicts(cache):
+        cache._dicts()  # the empty per-set OrderedDict form
+        assert cache._arr is None
+        return cache
+
+    def _fresh_and_flushed(self, make):
+        flushed = make()
+        flushed.access_stream(np.arange(40))
+        flushed.flush()
+        return [make(), flushed]
+
+    @pytest.mark.parametrize("make", [lambda: SetAssocCache(8, 2), lambda: LRUCache(6)])
+    def test_starts_without_dicts(self, make):
+        for c in self._fresh_and_flushed(make):
+            assert c._sets is None and c._arr.shape == (0,)
+            assert len(c) == 0 and 3 not in c
+            assert c.resident().tolist() == []
+
+    @pytest.mark.parametrize("engine", [
+        "loop",
+        pytest.param("kernel", marks=pytest.mark.skipif(
+            not native.available(), reason="no C compiler")),
+    ])
+    @pytest.mark.parametrize("make", [lambda: SetAssocCache(8, 2), lambda: LRUCache(6)])
+    def test_replays_match_dict_start(self, make, engine, rng):
+        keys = rng.integers(0, 64, 400)
+        for c in self._fresh_and_flushed(make):
+            ref = self._as_dicts(make())
+            before = c.evictions  # flush() keeps the counters
+            assert c.access_stream(keys, engine=engine) == ref.access_stream(
+                keys, engine=engine
+            )
+            assert c.evictions - before == ref.evictions
+            assert c.resident().tolist() == ref.resident().tolist()
+            assert len(c) == len(ref)
+            assert [k in c for k in range(64)] == [k in ref for k in range(64)]
+
+    def test_point_access_on_fresh_cache(self):
+        c = SetAssocCache(4, 1)
+        assert not c.access(4) and c.access(4)
+        assert c.resident().tolist() == [4]
+        c.flush()
+        assert c.invalidate(np.array([4])) == 0 and len(c) == 0

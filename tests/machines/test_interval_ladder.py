@@ -14,6 +14,7 @@ import pytest
 
 from repro.apps import AppConfig, BarnesHut
 from repro.apps.moldyn import Moldyn
+from repro.machines import native
 from repro.machines.dsm import (
     build_interval_ladder,
     build_intervals,
@@ -79,8 +80,13 @@ class TestLadderEqualsPerSizeBuild:
 
 
 class TestLadderMemo:
-    """The ladder reads the finest-size decode once and does not keep it:
-    its own interval products are what later calls reuse."""
+    """Without a compiler the ladder reads the finest-size decode once and
+    does not keep it: its own interval products are what later calls
+    reuse."""
+
+    @pytest.fixture(autouse=True)
+    def library_hidden(self, monkeypatch):
+        monkeypatch.setattr(native, "_load", lambda: None)
 
     def _counting(self, memo):
         calls = []
@@ -117,6 +123,22 @@ class TestLadderMemo:
         assert requests == []
         for size in PAGE_SIZES:
             assert second[size] is first[size]
+
+
+@pytest.mark.skipif(not native.available(), reason="no C compiler")
+class TestCompiledLadderMemo:
+    """The compiled ladder decodes nothing through the memo; its interval
+    products are still what later calls reuse."""
+
+    def test_no_memo_decodes(self):
+        trace = _trace(BarnesHut)
+        memo = decode_memo(trace)
+        first, layout = build_interval_ladder(trace, PAGE_SIZES)
+        assert memo.decodes == 0 and memo.distinct_geometries == 0
+        second, _ = build_interval_ladder(trace, PAGE_SIZES, layout)
+        for size in PAGE_SIZES:
+            assert second[size] is first[size]
+        assert memo.decodes == 0
 
 
 class TestDSMSweepEqualsStandalone:

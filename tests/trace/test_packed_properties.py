@@ -12,10 +12,12 @@ calls or ragged batches) or stored (in memory, mmap, compressed v3).
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machines import simulate_hardware, simulate_hlrc, simulate_treadmarks
+from repro.machines import native, simulate_hardware, simulate_hlrc, simulate_treadmarks
+from repro.machines.dsm import intervals
 from repro.machines.params import cluster_scaled, origin2000_scaled
 from repro.trace import stats
 from repro.trace.builder import TraceBuilder
@@ -210,11 +212,21 @@ def test_mmap_equivalence(ops, tmp_path_factory):
     assert_simulators_agree(in_memory, trace)
 
 
-class TestDecodeMemo:
-    def make_trace(self):
-        from repro.apps import AppConfig, Moldyn
+def _moldyn_trace():
+    from repro.apps import AppConfig, Moldyn
 
-        return Moldyn(AppConfig(n=256, nprocs=4, iterations=2, seed=3)).run()
+    return Moldyn(AppConfig(n=256, nprocs=4, iterations=2, seed=3)).run()
+
+
+class TestDecodeMemo:
+    """The numpy front end (no compiler) decodes through the memo."""
+
+    @pytest.fixture(autouse=True)
+    def library_hidden(self, monkeypatch):
+        monkeypatch.setattr(native, "_load", lambda: None)
+
+    def make_trace(self):
+        return _moldyn_trace()
 
     def test_platforms_share_one_decode(self):
         """TreadMarks then HLRC at the same page size: the HLRC run adds no
@@ -263,3 +275,33 @@ class TestDecodeMemo:
         assert memo.distinct_geometries == 1
         memo.clear()
         assert memo.distinct_geometries == 0
+
+
+@pytest.mark.skipif(not native.available(), reason="no C compiler")
+class TestCompiledFrontEndSkipsMemo:
+    """The compiled front end decodes no epoch through the memo, and the
+    interval products it builds are still shared between protocols."""
+
+    def test_platforms_share_one_interval_build(self, monkeypatch):
+        trace = _moldyn_trace()
+        memo = decode_memo(trace)
+        builds = []
+        real = intervals._trace_columns
+
+        def counted(*args, **kwargs):
+            builds.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(intervals, "_trace_columns", counted)
+        simulate_treadmarks(trace, cluster_scaled(nprocs=4))
+        simulate_hlrc(trace, cluster_scaled(nprocs=4))
+        assert builds == [4096]
+        assert memo.hits > 0
+        assert memo.decodes == 0
+        assert memo.distinct_geometries == 0
+
+    def test_hardware_decodes_nothing_through_memo(self):
+        trace = _moldyn_trace()
+        memo = decode_memo(trace)
+        simulate_hardware(trace, origin2000_scaled(64, 4))
+        assert memo.decodes == 0 and memo.hits == 0
